@@ -87,6 +87,7 @@ def measure_multi_round() -> Dict[str, object]:
         "recovery_rate": RECOVERY_RATE,
         "receiver_rounds": receiver_rounds,
         "recorded_at": utc_timestamp(),
+        "cpu_count": os.cpu_count(),
         "seconds": round(elapsed, 6),
         "receiver_rounds_per_sec": round(rate, 1),
         "deterministic": deterministic,

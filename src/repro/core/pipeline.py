@@ -83,6 +83,7 @@ __all__ = [
     "MatrixDecisions",
     "CallbackDecisions",
     "BatchWalk",
+    "ReceiverTerms",
     "PipelineWalk",
     "walk_from_row",
     "PipelinePlan",
@@ -210,8 +211,8 @@ class DecisionSource(Protocol):
     """Structural type of the kernel's decision suppliers.
 
     Anything with this ``decide`` shape can drive :meth:`PipelinePlan._traverse`
-    — the pre-drawn matrix, the lazy scalar callback, and the counter-based
-    Philox source all satisfy it.
+    — the pre-drawn matrix (filled from the sequential or the keyed
+    counter streams) and the lazy scalar callback both satisfy it.
     """
 
     def decide(
@@ -312,6 +313,33 @@ class BatchWalk:
     @property
     def count(self) -> int:
         return int(self.outcome_codes.shape[0])
+
+
+@dataclasses.dataclass(frozen=True)
+class ReceiverTerms:
+    """The round-invariant stage terms of one batch of receivers.
+
+    Between the hazard encounters of a multi-round run only two kernel
+    inputs change: the exposure count behind the attention-switch
+    habituation factor, and fresh perception noise.  Everything else the
+    kernel evaluates per receiver is held here, built once by
+    :meth:`PipelinePlan.receiver_terms`:
+
+    * ``attention_score`` — the attention-switch score before the
+      habituation factor
+      (:func:`~repro.core.probabilities.attention_switch_score`);
+    * ``stage_raw`` — the raw, noise-free probability of every other
+      applicable pre-behavior stage;
+    * ``intention_raw`` — the raw intention probability;
+    * ``capability`` / ``behavior`` — the calibrated capability-gate and
+      behavior probabilities, which take no noise.
+    """
+
+    attention_score: FloatOrArray
+    stage_raw: Dict[Stage, FloatOrArray]
+    intention_raw: FloatOrArray
+    capability: FloatOrArray
+    behavior: FloatOrArray
 
 
 def walk_from_row(outcomes: BatchWalk, row: int) -> PipelineWalk:
@@ -472,7 +500,17 @@ class PipelinePlan:
         the original engine).  ``exposures`` is the optional dynamic
         habituation count (see :meth:`raw_stage_probability`).
         """
-        raw = self.raw_stage_probability(stage, receiver, exposures=exposures)
+        # The raw array is passed on, not held in a local, so it is freed
+        # as soon as the clamped copy replaces it; a longer-lived array
+        # measurably slows the single-round engine.
+        return self._calibrated_stage(
+            stage, self.raw_stage_probability(stage, receiver, exposures=exposures), noise
+        )
+
+    def _calibrated_stage(
+        self, stage: Stage, raw: FloatOrArray, noise: FloatOrArray
+    ) -> FloatOrArray:
+        """Noise, clamp and calibration over one raw stage probability."""
         if stage is not Stage.BEHAVIOR:
             raw = probabilities.clamp_probability(raw + noise)
         if self.calibration is None:
@@ -486,12 +524,17 @@ class PipelinePlan:
         communication = self.task.communication
         if communication is None:
             raise ModelError("task has no communication; the intention gate does not apply")
-        raw = probabilities.clamp_probability(
-            probabilities.intention_probability(communication, receiver) + noise
+        return self._calibrated_intention(
+            probabilities.clamp_probability(
+                probabilities.intention_probability(communication, receiver) + noise
+            )
         )
+
+    def _calibrated_intention(self, clamped: FloatOrArray) -> FloatOrArray:
+        """Calibration over the clamped, noisy intention probability."""
         if self.calibration is None:
-            return raw
-        return self.calibration.apply_intention(raw)
+            return clamped
+        return self.calibration.apply_intention(clamped)
 
     def capability_probability(self, receiver: ReceiverLike) -> FloatOrArray:
         """Calibrated probability the receiver can perform the action."""
@@ -507,6 +550,33 @@ class PipelinePlan:
     def self_initiated_probability(self, receiver: ReceiverLike) -> FloatOrArray:
         """With no communication, only self-motivated experts act."""
         return probabilities.clamp_probability(0.1 * receiver.personal_variables.expertise)
+
+    def receiver_terms(self, receivers: ReceiverLike) -> ReceiverTerms:
+        """The round-invariant stage terms of ``receivers``, computed once.
+
+        Hand the result to :meth:`walk_batch` (``terms=``) for every hazard
+        encounter of the same receivers: the kernel then does only the
+        per-round work — the habituation factor for the current exposures,
+        ``clamp(raw + noise)`` and the calibration.  Each term is computed
+        by the same operations, in the same order, as when the kernel
+        evaluates it per round, so the probabilities are bit-identical.
+        """
+        communication = self.task.communication
+        if communication is None:
+            raise ModelError("task has no communication; stage terms do not apply")
+        return ReceiverTerms(
+            attention_score=probabilities.attention_switch_score(
+                communication, self.environment, receivers
+            ),
+            stage_raw={
+                stage: self.raw_stage_probability(stage, receivers)
+                for stage in self.stages
+                if stage is not Stage.ATTENTION_SWITCH
+            },
+            intention_raw=probabilities.intention_probability(communication, receivers),
+            capability=self.capability_probability(receivers),
+            behavior=self.behavior_probability(receivers),
+        )
 
     def stage_probabilities(self, receiver: ReceiverLike) -> Dict[Stage, float]:
         """Success probability for every applicable stage (incl. behavior).
@@ -583,6 +653,7 @@ class PipelinePlan:
         exposures: Optional[FloatOrArray] = None,
         collect_trace: bool = False,
         collect_counts: bool = False,
+        terms: Optional[ReceiverTerms] = None,
     ) -> BatchWalk:
         """The single stage-traversal kernel, at any width.
 
@@ -598,10 +669,14 @@ class PipelinePlan:
         per-receiver :class:`StageTraceBatch`; ``collect_counts`` the
         counts-only :class:`FunnelCounts` reduction, folded from masks the
         traversal already holds (no per-receiver checkpoint matrices).
+        ``terms`` are the receivers' precomputed round-invariant stage
+        terms (:meth:`receiver_terms`); without them each term is computed
+        when the traversal first needs it.
         """
         false = np.zeros(count, dtype=bool)
 
-        if not self.has_communication:
+        communication = self.task.communication
+        if communication is None:
             ones = np.ones(count, dtype=bool)
             acted = np.asarray(
                 source.decide(
@@ -654,7 +729,20 @@ class PipelinePlan:
         for column, stage in enumerate(self.stages):
             if not alive.any():
                 break
-            probability = self.stage_probability(stage, receivers, noise, exposures=exposures)
+            if terms is None:
+                probability = self.stage_probability(
+                    stage, receivers, noise, exposures=exposures
+                )
+            elif stage is Stage.ATTENTION_SWITCH:
+                probability = self._calibrated_stage(
+                    stage,
+                    probabilities.attention_switch_from_score(
+                        communication, self.environment, terms.attention_score, exposures
+                    ),
+                    noise,
+                )
+            else:
+                probability = self._calibrated_stage(stage, terms.stage_raw[stage], noise)
             ok = np.asarray(
                 source.decide("stage", stage, probability, alive), dtype=bool
             )
@@ -696,10 +784,18 @@ class PipelinePlan:
 
         # -- gates and behavior, masked to the lanes that reached them --------
         passed_stages = live & (first_failed_slot == stage_count)
+        # Probabilities are passed inline, never held in locals, so each
+        # array is freed once its decision is drawn.
         intention_ok = (
             np.asarray(
                 source.decide(
-                    "intention", None, self.intention_probability(receivers, noise),
+                    "intention",
+                    None,
+                    self.intention_probability(receivers, noise)
+                    if terms is None
+                    else self._calibrated_intention(
+                        probabilities.clamp_probability(terms.intention_raw + noise)
+                    ),
                     passed_stages,
                 ),
                 dtype=bool,
@@ -712,7 +808,9 @@ class PipelinePlan:
         capability_ok = (
             np.asarray(
                 source.decide(
-                    "capability", None, self.capability_probability(receivers),
+                    "capability",
+                    None,
+                    self.capability_probability(receivers) if terms is None else terms.capability,
                     capability_mask,
                 ),
                 dtype=bool,
@@ -724,7 +822,11 @@ class PipelinePlan:
         behavior_mask = capability_mask & capability_ok
         if behavior_mask.any():
             behavior_probability = np.broadcast_to(
-                np.asarray(self.behavior_probability(receivers), dtype=float), (count,)
+                np.asarray(
+                    self.behavior_probability(receivers) if terms is None else terms.behavior,
+                    dtype=float,
+                ),
+                (count,),
             )
             behavior_ok = np.asarray(
                 source.decide(
@@ -842,6 +944,7 @@ class PipelinePlan:
         noise: FloatOrArray = 0.0,
         exposures: Optional[FloatOrArray] = None,
         trace: Union[bool, str] = False,
+        terms: Optional[ReceiverTerms] = None,
     ) -> BatchWalk:
         """Advance a whole batch through the pipeline at once (the array walk).
 
@@ -853,7 +956,10 @@ class PipelinePlan:
         collects the per-receiver funnel checkpoint arrays;
         ``trace="counts"`` only their column totals (the fused
         :class:`~repro.core.stages.FunnelCounts` path — what the engine's
-        streaming funnel consumes, at near trace-off cost).
+        streaming funnel consumes, at near trace-off cost).  ``terms`` are
+        the receivers' round-invariant stage terms from
+        :meth:`receiver_terms`, for callers that walk the same receivers
+        through several hazard encounters.
         """
         count = int(decisions.shape[0])
         if spoofed is None:
@@ -868,6 +974,7 @@ class PipelinePlan:
             exposures=exposures,
             collect_trace=trace is True,
             collect_counts=trace == "counts",
+            terms=terms,
         )
 
     def walk(self, receiver: ReceiverLike, decide: DecisionFn, noise: float = 0.0,

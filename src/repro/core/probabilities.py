@@ -39,6 +39,8 @@ __all__ = [
     "habituation_factor",
     "delivery_intact_probability",
     "attention_switch_probability",
+    "attention_switch_score",
+    "attention_switch_from_score",
     "attention_maintenance_probability",
     "comprehension_probability",
     "knowledge_acquisition_probability",
@@ -125,6 +127,22 @@ def attention_switch_probability(
     a per-receiver array, as the multi-round engine threads between hazard
     encounters.  ``None`` keeps the static baked-in count.
     """
+    score = attention_switch_score(communication, environment, receiver)
+    return attention_switch_from_score(communication, environment, score, exposures)
+
+
+def attention_switch_score(
+    communication: Communication,
+    environment: Environment,
+    receiver: HumanReceiver,
+) -> FloatOrArray:
+    """The attention-switch score before habituation and delivery loss.
+
+    The exposure-independent half of :func:`attention_switch_probability`:
+    nothing in it changes between the hazard encounters of a multi-round
+    run, so the engine computes it once per chunk and finishes it per
+    round with :func:`attention_switch_from_score`.
+    """
     base = 0.15 + 0.8 * communication.activeness
     salience_bonus = 0.15 * communication.conspicuity
     distraction_penalty = (
@@ -133,10 +151,23 @@ def attention_switch_probability(
     exposure_bonus = 0.1 * receiver.personal_variables.knowledge.prior_exposure * (
         1.0 - communication.activeness
     )
-    raw = base + salience_bonus + exposure_bonus - distraction_penalty
+    return base + salience_bonus + exposure_bonus - distraction_penalty
+
+
+def attention_switch_from_score(
+    communication: Communication,
+    environment: Environment,
+    score: FloatOrArray,
+    exposures: Optional[FloatOrArray] = None,
+) -> FloatOrArray:
+    """Finish an :func:`attention_switch_score` into a probability.
+
+    Applies the habituation factor for ``exposures`` (``None`` keeps the
+    communication's baked-in count) and the delivery loss, then clamps.
+    """
     if exposures is None:
         exposures = communication.habituation_exposures
-    raw = raw * habituation_factor(exposures, communication.activeness)
+    raw = score * habituation_factor(exposures, communication.activeness)
     raw = raw * delivery_intact_probability(environment)
     return clamp_probability(raw)
 

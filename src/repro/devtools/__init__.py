@@ -13,7 +13,7 @@ REP002    no-wallclock-in-identity  clock reads only in registered telemetry
                                     ``WALL_CLOCK_METRICS`` producers)
 REP003    provenance-completeness   every engine knob is serialized,
                                     round-tripped, and identity-or-telemetry
-REP004    stream-layout-frozen      Philox stream ids and decision columns
+REP004    stream-layout-frozen      counter-stream ids and decision columns
                                     are append-only
 REP005    append-only-io            committed checkpoint bytes are immutable
                                     outside ``io/shards`` + ``io/eventlog``

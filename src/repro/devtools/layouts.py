@@ -15,9 +15,9 @@ from typing import Dict, Tuple, Union
 
 __all__ = ["FROZEN_STREAM_CONSTANTS", "FROZEN_DECISION_SUFFIX"]
 
-#: Module-level stream-id constants of ``simulation/rng.py``.  A draw's
-#: Philox key embeds its stream id, so renumbering any of these silently
-#: changes every persisted counter-mode result.
+#: Module-level stream-id constants of ``simulation/rng.py``.  A counter
+#: draw's generator key embeds its stream id, so renumbering any of these
+#: silently changes every persisted counter-mode result.
 FROZEN_STREAM_CONSTANTS: Dict[str, Union[int, Tuple[int, int]]] = {
     "AGE_STREAMS": (42, 43),
     "TRAINED_STREAM": 44,

@@ -64,7 +64,7 @@ class StreamLayoutFrozen(Rule):
     rule_id = "REP004"
     title = "stream-layout-frozen"
     contract = (
-        "Philox stream-id constants and the decision_columns tail are "
+        "counter-stream id constants and the decision_columns tail are "
         "append-only: existing entries keep their numbers and order"
     )
 

@@ -140,5 +140,5 @@ class NoAmbientRng(Rule):
                         node,
                         f"stdlib random.{tail} is outside the seeded "
                         "simulation substrate; use SimulationRng / "
-                        "PhiloxDraws or a SeedSequence-derived generator",
+                        "CounterDraws or a SeedSequence-derived generator",
                     )

@@ -8,8 +8,13 @@ scheduled — the PR 5-9 contracts), so a response is addressable by
     ``(variant_hash, seed, n_receivers, mode, rng_mode, rounds, task)``
 
 — the exact reproduction identity of :func:`repro.experiments.reproduce_row`
-minus the fields that never change the bits (``batch_size``,
-``chunk_workers``).  The resolved task name rides along because a task
+minus ``chunk_workers``, which never changes the bits, and ``batch_size``,
+which does: chunk boundaries key the draw streams, so the same point at
+another batch size draws different receivers.  The service always runs at
+the engine's default batch size, and :meth:`ResultCache.store` keeps rows
+recorded at any other batch size (an imported archive, say) out of the
+cache, so every cached simulated row was computed at that one value.
+The resolved task name rides along because a task
 is the one run input outside ``variant_hash`` (it selects *which* of the
 scenario's security-critical tasks the population faces); every other
 engine knob the service accepts travels through the scenario's
@@ -21,11 +26,18 @@ every hit, so no caller can mutate the cached bytes, and the first store
 wins — a racing duplicate computation never replaces what an earlier
 client was served.
 
+Because the first store wins forever, a wrong row must never get in.
+Before inserting, :meth:`ResultCache.store` checks the row — every metric
+finite, every ``*_rate`` metric within [0, 1] — and raises
+:class:`~repro.service.errors.IntegrityError` (an HTTP 500 naming the
+failed check) instead of storing or appending anything.
+
 With a backing path the cache is durable: every store appends one line
 to a ``service-cache.jsonl`` stream (:class:`repro.io.eventlog.EventLogWriter`,
 the same append-only, torn-tail-tolerant discipline as the shard
 checkpoints), and a restarted server warms itself by replaying the
-stream.  The ``service-`` name prefix is registered in
+stream; replayed rows pass the same admission rules as stored ones.  The
+``service-`` name prefix is registered in
 :data:`repro.io.shards.TELEMETRY_PREFIXES`, so checkpoint loaders skip
 service streams that share a directory with shard files.
 """
@@ -33,11 +45,14 @@ service streams that share a directory with shard files.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..io.eventlog import EventLogWriter, read_events
+from ..simulation.engine import SimulationConfig
+from .errors import IntegrityError
 
 __all__ = [
     "CACHE_FILENAME",
@@ -85,6 +100,30 @@ def row_cache_key(row: Dict[str, Any]) -> CacheKey:
     )
 
 
+#: The only ``batch_size`` whose simulated rows the cache admits: the
+#: engine default every service computation runs at (see module doc).
+_DEFAULT_BATCH_SIZE = SimulationConfig().batch_size
+
+
+def _row_defect(row: Dict[str, Any]) -> Optional[Tuple[str, str]]:
+    """The ``(check, detail)`` of the first sanity check a row fails, or None."""
+    for name, value in (row.get("metrics") or {}).items():
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+        ):
+            return "finite", f"metric {name!r} is {value!r}"
+        if name.endswith("_rate") and not 0.0 <= value <= 1.0:
+            return "rate_range", f"metric {name!r} = {value!r} is outside [0, 1]"
+    return None
+
+
+def _default_batch_size(row: Dict[str, Any]) -> bool:
+    """Whether a row ran at the engine's default batch size (analytic: yes)."""
+    return row.get("batch_size") in (None, _DEFAULT_BATCH_SIZE)
+
+
 def _normalize_key(raw: Any) -> Optional[CacheKey]:
     """A replayed JSON key (list form) back to the tuple form, or None."""
     if not isinstance(raw, (list, tuple)) or len(raw) != 7:
@@ -108,7 +147,12 @@ class ResultCache:
             for event in read_events(path):
                 key = _normalize_key(event.get("key"))
                 payload = event.get("payload")
-                if key is not None and isinstance(payload, dict):
+                if (
+                    key is not None
+                    and isinstance(payload, dict)
+                    and _row_defect(payload) is None
+                    and _default_batch_size(payload)
+                ):
                     self._entries.setdefault(
                         key, json.dumps(payload, sort_keys=True)
                     )
@@ -168,11 +212,23 @@ class ResultCache:
     def store(self, key: CacheKey, payload: Dict[str, Any]) -> bool:
         """Cache one payload under a key; the first store wins.
 
-        Returns whether this call inserted the entry.  Insertions are
-        appended to the backing stream (when configured) under the lock,
-        so the durable ledger and the in-memory view agree on which
-        computation's bytes a key serves.
+        Returns whether this call inserted the entry.  A row recorded at
+        a non-default ``batch_size`` is never inserted (see module doc);
+        a row failing a sanity check raises :class:`IntegrityError` with
+        nothing stored or appended.  Insertions are appended to the
+        backing stream (when configured) under the lock, so the durable
+        ledger and the in-memory view agree on which computation's bytes
+        a key serves.
         """
+        defect = _row_defect(payload)
+        if defect is not None:
+            check, detail = defect
+            raise IntegrityError(
+                f"refusing to cache a row that fails the {check!r} check: {detail}",
+                check=check,
+            )
+        if not _default_batch_size(payload):
+            return False
         with self._lock:
             if key in self._entries:
                 return False

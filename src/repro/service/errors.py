@@ -18,6 +18,7 @@ __all__ = [
     "NotFoundError",
     "MethodNotAllowedError",
     "ValidationFailure",
+    "IntegrityError",
 ]
 
 
@@ -69,3 +70,15 @@ class ValidationFailure(ApiError):
 
     status = 422
     kind = "validation"
+
+
+class IntegrityError(ApiError):
+    """A computed row failed a sanity check and was refused (HTTP 500).
+
+    Raised before the row can reach the first-write-wins result cache,
+    which would otherwise serve it forever; the ``check`` detail names
+    the check that failed.
+    """
+
+    status = 500
+    kind = "integrity"

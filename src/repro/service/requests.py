@@ -8,9 +8,10 @@ the parameter the experiment layer would reject.  Engine knobs
 **only** inside ``params``: that keeps every bit-relevant input inside
 the row's ``variant_hash``, which is what makes the content-keyed cache
 (:mod:`repro.service.cache`) collision-free.  ``batch_size`` and
-``chunk_workers`` are not request fields at all — the engine's defaults
-are a pure function of the accepted inputs, so they never need to appear
-in a cache key.
+``chunk_workers`` are not request fields at all, and neither is in a
+cache key.  ``chunk_workers`` never changes the bits.  ``batch_size``
+does, but the service always runs at the engine default, and the cache
+admits no row recorded at any other batch size.
 
 :func:`run_with_cache` is the service's synchronous execution path: it
 plans an experiment into per-variant work units, serves any unit whose

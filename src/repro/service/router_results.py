@@ -108,7 +108,9 @@ def import_resultset(state: ServiceState, request: Request) -> Dict[str, Any]:
     Parsing re-validates every row's recorded ``variant_hash`` against
     its parameters, so tampered archives are rejected; accepted rows
     become cache entries addressable by hash and eligible to serve
-    future identical queries byte-for-byte.
+    future identical queries byte-for-byte.  Rows recorded at a
+    non-default ``batch_size`` are counted in ``rows`` but never
+    inserted: their bits differ from what the service would compute.
     """
     body = require_body(request.body)
     payload = body.get("resultset")

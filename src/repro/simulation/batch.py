@@ -30,7 +30,13 @@ import numpy as np
 
 from ..core import receiver as receiver_model
 from ..core.exceptions import SimulationError
-from ..core.pipeline import BatchWalk, PipelinePlan, decision_columns, walk_from_row
+from ..core.pipeline import (
+    BatchWalk,
+    PipelinePlan,
+    ReceiverTerms,
+    decision_columns,
+    walk_from_row,
+)
 from .metrics import ReceiverRecord
 from .population import PopulationSpec, TraitSamples
 from .rng import (
@@ -391,6 +397,7 @@ def evaluate_batch(
     draws: DrawBatch,
     exposures: Optional[np.ndarray] = None,
     trace=False,
+    terms: Optional[ReceiverTerms] = None,
 ) -> BatchOutcomes:
     """Advance every receiver in the batch through the pipeline at once.
 
@@ -403,7 +410,9 @@ def evaluate_batch(
     reading); ``trace=True`` additionally collects the per-receiver
     :class:`~repro.core.stages.StageTraceBatch` funnel arrays,
     ``trace="counts"`` only their column totals (the engine's fused
-    streaming-funnel path).
+    streaming-funnel path).  ``terms`` are the batch's round-invariant
+    stage terms (:meth:`~repro.core.pipeline.PipelinePlan.receiver_terms`),
+    which the multi-round engine builds once per chunk.
     """
     view = BatchReceivers(draws.samples)
     if not plan.has_communication:
@@ -416,6 +425,7 @@ def evaluate_batch(
         noise=draws.noise,
         exposures=exposures,
         trace=trace,
+        terms=terms,
     )
 
 

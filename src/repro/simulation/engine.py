@@ -33,7 +33,12 @@ population through repeated hazard encounters, folding the habituation
 dynamics of Section 2.3.1 into the engine: each chunk draws its traits
 once, then per round draws fresh encounter randomness
 (:func:`repro.simulation.batch.redraw_decisions`) and threads a vectorized
-per-receiver exposure array through the attention-switch stage.  Between
+per-receiver exposure array through the attention-switch stage.  Since
+only exposure and noise change between rounds, a batch chunk computes
+every other stage term once
+(:meth:`~repro.core.pipeline.PipelinePlan.receiver_terms`) and each round
+applies just the habituation factor, the noise and the calibration;
+reference mode keeps recomputing every term as the oracle.  Between
 rounds the array advances by the shared accounting rule of
 :func:`repro.simulation.habituation.advance_exposures` — receivers the
 communication actually reached accrue exposure, then everyone recovers
@@ -51,13 +56,13 @@ bit.  Round 0 consumes the identical draw stream a single-shot run
 would, which keeps ``rounds=1`` bit-identical to the single-shot engine;
 both execution modes share the exposure arrays, the per-round draw
 layout, and the realized outcomes, so batch/reference equivalence holds
-round by round.  Aggregates stream into the overall
-:class:`~repro.simulation.metrics.SimulationTally` plus one
-:class:`~repro.simulation.metrics.RoundTally` per round; with tracing
-enabled (the default) the per-stage funnel additionally streams into a
-:class:`~repro.simulation.metrics.FunnelTally` (aggregate and per
-round), keeping per-stage survival and conditional-failure analytics
-O(batch) in memory.
+round by round.  Each round's outcomes stream into one
+:class:`~repro.simulation.metrics.RoundTally` and, with tracing enabled
+(the default), one per-stage
+:class:`~repro.simulation.metrics.FunnelTally`; the overall
+:class:`~repro.simulation.metrics.SimulationTally` and funnel are the
+exact integer sums of the per-round ones, keeping per-stage survival and
+conditional-failure analytics O(batch) in memory.
 
 Outcome semantics mirror the case studies:
 
@@ -100,7 +105,7 @@ from .metrics import (
     SimulationTally,
 )
 from .population import PopulationSpec
-from .rng import PhiloxDraws, SimulationRng
+from .rng import CounterDraws, SimulationRng
 
 __all__ = [
     "SimulationConfig",
@@ -232,11 +237,14 @@ class _ChunkSpec:
 
 @dataclasses.dataclass
 class _ChunkPartial:
-    """One chunk's streaming partials, merged into the result in chunk order."""
+    """One chunk's streaming partials, merged into the result in chunk order.
 
-    tally: SimulationTally
+    Each round's outcomes are folded once, into that round's tallies; the
+    run's aggregate tally and funnel are merged from the per-round ones
+    (integer counts, so the sums are exact).
+    """
+
     round_tallies: List[RoundTally]
-    funnel: Optional[FunnelTally]
     round_funnels: List[FunnelTally]
     records: List[ReceiverRecord]
 
@@ -251,16 +259,14 @@ def _simulate_chunk(spec: _ChunkSpec) -> _ChunkPartial:
     """
     plan = spec.plan
     partial = _ChunkPartial(
-        tally=SimulationTally(),
         round_tallies=[RoundTally(round_index=index) for index in range(spec.rounds)],
-        funnel=FunnelTally() if spec.want_trace else None,
         round_funnels=(
             [FunnelTally() for _ in range(spec.rounds)] if spec.want_trace else []
         ),
         records=batch_module.LazyRecords() if spec.mode == "batch" else [],
     )
     if spec.rng_mode == "counter":
-        cell = PhiloxDraws(spec.base_seed, spec.chunk_index)
+        cell = CounterDraws(spec.base_seed, spec.chunk_index)
         # Batch chunks whose records die with the chunk may recycle the
         # multi-megabyte draw buffers of the previous chunk; kept records
         # hold views of those buffers, so they force fresh allocations.
@@ -276,6 +282,15 @@ def _simulate_chunk(spec: _ChunkSpec) -> _ChunkPartial:
     exposures = (
         habituation_module.initial_exposures(plan.communication, spec.size)
         if spec.rounds > 1
+        else None
+    )
+    # Only exposure and noise change between rounds, so a multi-round batch
+    # chunk computes every other stage term once.  Single-round chunks
+    # have nothing to share, and the reference oracle keeps recomputing
+    # every term per row and per round.
+    terms = (
+        plan.receiver_terms(batch_module.BatchReceivers(draws.samples))
+        if spec.rounds > 1 and spec.mode == "batch" and plan.has_communication
         else None
     )
     for round_index in range(spec.rounds):
@@ -301,6 +316,7 @@ def _simulate_chunk(spec: _ChunkSpec) -> _ChunkPartial:
         # per-receiver array.
         round_exposures = exposures if round_index else None
         round_tally = partial.round_tallies[round_index]
+        round_funnel = partial.round_funnels[round_index] if spec.want_trace else None
         advancing = exposures is not None and round_index + 1 < spec.rounds
         if spec.mode == "batch":
             outcomes = batch_module.evaluate_batch(
@@ -308,12 +324,11 @@ def _simulate_chunk(spec: _ChunkSpec) -> _ChunkPartial:
                 draws,
                 exposures=round_exposures,
                 trace="counts" if spec.want_trace else False,
+                terms=terms,
             )
-            partial.tally.add_batch(outcomes)
             round_tally.add_batch(outcomes)
-            if spec.want_trace:
-                partial.funnel.add_counts(outcomes.funnel_counts)
-                partial.round_funnels[round_index].add_counts(outcomes.funnel_counts)
+            if round_funnel is not None:
+                round_funnel.add_counts(outcomes.funnel_counts)
             if spec.keep_records:
                 partial.records.defer(outcomes, draws, spec.offset, round_index)
             protected = outcomes.protected
@@ -339,13 +354,9 @@ def _simulate_chunk(spec: _ChunkSpec) -> _ChunkPartial:
                     start_index=spec.offset + row,
                     round_index=round_index,
                 )[0]
-                partial.tally.add_record(record)
                 round_tally.add_record(record)
-                if spec.want_trace:
-                    partial.funnel.add_counts(row_outcomes.funnel_counts)
-                    partial.round_funnels[round_index].add_counts(
-                        row_outcomes.funnel_counts
-                    )
+                if round_funnel is not None:
+                    round_funnel.add_counts(row_outcomes.funnel_counts)
                 if spec.keep_records:
                     partial.records.append(record)
                 if advancing:
@@ -509,87 +520,74 @@ class HumanLoopSimulator:
         parallel run merges chunk partials in chunk order and is
         bit-identical to the serial fold.
         """
-        count = self.config.n_receivers if n_receivers is None else n_receivers
-        if count < 0:
-            raise SimulationError("n_receivers must be non-negative")
-        base_seed = self.config.seed if seed is None else seed
-        mode = self.config.mode if mode is None else mode
-        if mode not in SIMULATION_MODES:
-            raise SimulationError(f"mode must be one of {SIMULATION_MODES}, got {mode!r}")
-        rounds = self.config.rounds if rounds is None else rounds
-        if rounds < 1:
-            raise SimulationError("rounds must be >= 1")
-        recovery_rate = (
-            self.config.recovery_rate if recovery_rate is None else recovery_rate
+        overrides = {
+            "n_receivers": n_receivers,
+            "seed": seed,
+            "mode": mode,
+            "rounds": rounds,
+            "recovery_rate": recovery_rate,
+            "dismiss_weight": dismiss_weight,
+            "heed_weight": heed_weight,
+            "trace": trace,
+            "rng_mode": rng_mode,
+            "chunk_workers": chunk_workers,
+        }
+        # SimulationConfig validates every knob, per-call overrides included.
+        config = dataclasses.replace(
+            self.config,
+            **{name: value for name, value in overrides.items() if value is not None},
         )
-        if not 0.0 <= recovery_rate <= 1.0:
-            raise SimulationError("recovery_rate must be in [0, 1]")
-        dismiss_weight = (
-            self.config.dismiss_weight if dismiss_weight is None else dismiss_weight
-        )
-        heed_weight = self.config.heed_weight if heed_weight is None else heed_weight
-        if dismiss_weight < 0.0 or heed_weight < 0.0:
-            raise SimulationError("habituation weights must be non-negative")
-        want_trace = self.config.trace if trace is None else bool(trace)
-        rng_mode = self.config.rng_mode if rng_mode is None else rng_mode
-        if rng_mode not in RNG_MODES:
-            raise SimulationError(
-                f"rng_mode must be one of {RNG_MODES}, got {rng_mode!r}"
-            )
-        chunk_workers = (
-            self.config.chunk_workers if chunk_workers is None else chunk_workers
-        )
-        if chunk_workers < 1:
-            raise SimulationError("chunk_workers must be >= 1")
+        count, mode, rounds = config.n_receivers, config.mode, config.rounds
+        want_trace = bool(config.trace)
 
         started = time.perf_counter()
         plan = self._plan_for(task)
-        keep_records = mode == "reference" or count * rounds <= self.config.record_limit
+        keep_records = mode == "reference" or count * rounds <= config.record_limit
 
         result = SimulationResult(
             task_name=task.name,
             population_name=population.name,
-            seed=base_seed,
-            calibration_label=self.config.calibration.label,
+            seed=config.seed,
+            calibration_label=config.calibration.label,
             tally=SimulationTally(),
             mode=mode,
-            batch_size=self.config.batch_size,
+            batch_size=config.batch_size,
             rounds=rounds,
-            recovery_rate=recovery_rate,
+            recovery_rate=config.recovery_rate,
             round_tallies=[RoundTally(round_index=index) for index in range(rounds)],
             funnel=FunnelTally() if want_trace else None,
             round_funnels=[FunnelTally() for _ in range(rounds)] if want_trace else [],
-            dismiss_weight=dismiss_weight,
-            heed_weight=heed_weight,
-            rng_mode=rng_mode,
-            chunk_workers=chunk_workers,
+            dismiss_weight=config.dismiss_weight,
+            heed_weight=config.heed_weight,
+            rng_mode=config.rng_mode,
+            chunk_workers=config.chunk_workers,
         )
 
         specs: List[_ChunkSpec] = []
         offset = 0
         while offset < count:
-            size = min(self.config.batch_size, count - offset)
+            size = min(config.batch_size, count - offset)
             specs.append(
                 _ChunkSpec(
                     plan=plan,
                     population=population,
-                    base_seed=base_seed,
+                    base_seed=config.seed,
                     chunk_index=len(specs),
                     offset=offset,
                     size=size,
                     mode=mode,
-                    rng_mode=rng_mode,
+                    rng_mode=config.rng_mode,
                     rounds=rounds,
-                    recovery_rate=recovery_rate,
-                    dismiss_weight=dismiss_weight,
-                    heed_weight=heed_weight,
+                    recovery_rate=config.recovery_rate,
+                    dismiss_weight=config.dismiss_weight,
+                    heed_weight=config.heed_weight,
                     want_trace=want_trace,
                     keep_records=keep_records,
                 )
             )
             offset += size
 
-        if chunk_workers > 1 and len(specs) > 1:
+        if config.chunk_workers > 1 and len(specs) > 1:
             # Each chunk is self-contained (randomness keyed by (seed,
             # chunk index) alone), so fan the specs across the persistent
             # pool and fold the partials back in chunk order —
@@ -601,14 +599,16 @@ class HumanLoopSimulator:
             # each chunk's records are parked as a local regeneration
             # from the same coordinates, paid only if the records are
             # actually read.
-            defer_records = keep_records and mode == "batch" and rng_mode == "counter"
+            defer_records = (
+                keep_records and mode == "batch" and config.rng_mode == "counter"
+            )
             worker_specs = (
                 [dataclasses.replace(spec, keep_records=False) for spec in specs]
                 if defer_records
                 else specs
             )
             partials = _run_chunks_parallel(
-                worker_specs, min(chunk_workers, len(specs))
+                worker_specs, min(config.chunk_workers, len(specs))
             )
             if defer_records:
                 for spec, partial in zip(specs, partials):
@@ -619,13 +619,14 @@ class HumanLoopSimulator:
             partials = [_simulate_chunk(spec) for spec in specs]
 
         for partial in partials:
-            result.tally.merge(partial.tally)
             for round_tally, partial_round in zip(result.round_tallies, partial.round_tallies):
                 round_tally.merge(partial_round)
-            if want_trace:
-                result.funnel.merge(partial.funnel)
-                for funnel, partial_funnel in zip(result.round_funnels, partial.round_funnels):
-                    funnel.merge(partial_funnel)
+            for funnel, partial_funnel in zip(result.round_funnels, partial.round_funnels):
+                funnel.merge(partial_funnel)
+        for round_tally in result.round_tallies:
+            result.tally.merge(round_tally)
+        for funnel in result.round_funnels:
+            result.funnel.merge(funnel)
         if keep_records:
             result.records = _merged_records(partials)
         result.chunks = len(specs)

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import threading
 
+import pytest
+
+from repro.io.eventlog import EventLogWriter, read_events
 from repro.service.cache import CACHE_FILENAME, ResultCache, row_cache_key
+from repro.service.errors import IntegrityError
 
 ROW = {
     "experiment": "exp",
@@ -72,6 +76,38 @@ class TestFirstWriteWins:
         rival = dict(ROW, metrics={"failure_rate": 0.99})
         assert cache.store(key, rival) is False
         assert cache.serve(key)["metrics"]["failure_rate"] == 0.25
+
+
+class TestAdmission:
+    def test_rate_outside_unit_interval_is_refused(self, tmp_path):
+        path = tmp_path / CACHE_FILENAME
+        cache = ResultCache(path)
+        bad = dict(ROW, metrics={"failure_rate": 1.5})
+        with pytest.raises(IntegrityError) as caught:
+            cache.store(row_cache_key(bad), bad)
+        assert caught.value.status == 500
+        assert caught.value.details == {"check": "rate_range"}
+        assert cache.stats()["entries"] == 0
+        cache.close()
+        assert read_events(path) == []
+
+    def test_replay_admits_only_sound_default_batch_rows(self, tmp_path):
+        # A stream written before the admission checks existed: the
+        # restarted cache must not serve what a store would now refuse.
+        path = tmp_path / CACHE_FILENAME
+        writer = EventLogWriter(path)
+        rows = [
+            dict(ROW, seed=1, metrics={"failure_rate": float("nan")}),
+            dict(ROW, seed=2, batch_size=10_000),
+            dict(ROW, seed=3, batch_size=25_000),
+        ]
+        for row in rows:
+            writer.append({"key": list(row_cache_key(row)), "payload": row})
+        writer.close()
+        warmed = ResultCache(path)
+        assert warmed.stats()["entries"] == 1
+        assert warmed.peek(row_cache_key(rows[2]))
+        warmed.close()
 
 
 class TestPersistence:

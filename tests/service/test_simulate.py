@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import repro.experiments.runner as runner_module
 import repro.service.requests as service_requests
+from repro.experiments import Experiment, VariantSpec
+from repro.io.eventlog import read_events
+from repro.io.experiments_io import resultset_to_dict
+from repro.service import ServiceConfig, ServiceState, create_app
+from repro.service.cache import CACHE_FILENAME
 
 
 class TestDispatchThreshold:
@@ -161,6 +169,78 @@ class TestCacheBitIdentity:
         row_second = second["resultset"]["rows"][0]
         assert row_first["variant_hash"] == row_second["variant_hash"]
         assert row_first["task"] != row_second["task"]
+
+
+class TestCacheAdmission:
+    """Nothing the first-write-wins cache would serve wrongly may enter it."""
+
+    def test_nan_row_is_a_500_and_never_cached(
+        self, app, service_state, monkeypatch
+    ):
+        real = runner_module._simulation_metrics
+
+        def corrupted(result):
+            return {**real(result), "protection_rate": float("nan")}
+
+        monkeypatch.setattr(runner_module, "_simulation_metrics", corrupted)
+        status, payload = app.handle(
+            "POST",
+            "/simulate",
+            body={"scenario": "passwords", "n_receivers": 30, "seed": 5},
+        )
+        assert status == 500
+        assert payload["error"] == "integrity"
+        assert payload["check"] == "finite"
+        assert "protection_rate" in payload["message"]
+        assert service_state.cache.stats()["entries"] == 0
+        stream = Path(service_state.config.data_dir) / CACHE_FILENAME
+        assert read_events(stream) == []
+
+    def test_row_at_another_batch_size_never_serves_simulate(self, tmp_path):
+        # batch_size changes the bits (chunk boundaries key the draws), and
+        # row_cache_key does not carry it: an archived row computed at a
+        # non-default batch size must not answer a fresh /simulate.
+        state = ServiceState(
+            ServiceConfig(
+                data_dir=str(tmp_path / "service"),
+                inline_threshold=100_000,
+                threaded_worker=False,
+            )
+        )
+        try:
+            app = create_app(state=state)
+            archived = resultset_to_dict(
+                Experiment(
+                    name="archive",
+                    variants=(VariantSpec(scenario="passwords", params={}),),
+                    n_receivers=50_000,
+                    seed=7,
+                    batch_size=10_000,
+                    seed_strategy="shared",
+                ).run()
+            )
+            status, imported = app.handle(
+                "POST", "/results/import", body={"resultset": archived}
+            )
+            assert status == 200
+            assert imported["rows"] == 1 and imported["inserted"] == 0
+
+            status, fresh = app.handle(
+                "POST",
+                "/simulate",
+                body={"scenario": "passwords", "n_receivers": 50_000, "seed": 7},
+            )
+            assert status == 200
+            assert fresh["cache"] == {"served": 0, "computed": 1}
+            archived_row = archived["rows"][0]
+            fresh_row = fresh["resultset"]["rows"][0]
+            assert fresh_row["batch_size"] != archived_row["batch_size"]
+            assert (
+                fresh_row["metrics"]["protection_rate"]
+                != archived_row["metrics"]["protection_rate"]
+            )
+        finally:
+            state.close()
 
 
 class TestAnalyze:

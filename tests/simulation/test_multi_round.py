@@ -12,12 +12,16 @@ Pins the three invariants ISSUE 3 requires:
 import numpy as np
 import pytest
 
+from repro.core import receiver as receiver_model
 from repro.core.exceptions import SimulationError
+from repro.core.pipeline import PipelinePlan
+from repro.simulation.calibration import StageCalibration
 from repro.simulation.engine import HumanLoopSimulator, SimulationConfig
 from repro.simulation.habituation import HabituationState, advance_exposures, initial_exposures
 from repro.simulation.population import general_web_population
 from repro.systems import get_scenario
 from repro.systems.antiphishing import ie_passive_warning
+from repro.systems.scenario import all_scenarios
 
 N = 400
 SEED = 20260726
@@ -83,31 +87,87 @@ class TestSingleRoundIdentity:
 
 
 class TestPerRoundEquivalence:
-    """Batch and reference modes must agree round by round, exactly."""
+    """Batch and reference modes must agree round by round, exactly.
 
-    @pytest.mark.parametrize("recovery_rate", [0.0, 0.25])
-    def test_batch_matches_reference_per_round(self, warning_task, recovery_rate):
-        population = general_web_population()
+    Batch mode reads each chunk's round-invariant stage terms, computed
+    once; reference mode recomputes every term per row and per round, so
+    it is the oracle that pins that hoist.
+    """
+
+    @pytest.mark.parametrize(
+        "recovery_rate, every_scenario",
+        [
+            pytest.param(0.0, False, id="0.0"),
+            pytest.param(0.25, False, id="0.25"),
+            # Each registered scenario's calibrated default task, with
+            # non-unit habituation weights; passwords (a policy) and
+            # email-attachments (training) exercise retention and transfer.
+            pytest.param(0.25, True, id="every-scenario"),
+        ],
+    )
+    def test_batch_matches_reference_per_round(
+        self, warning_task, recovery_rate, every_scenario
+    ):
         common = dict(rounds=3, recovery_rate=recovery_rate)
-        batch = _simulator(batch_size=150).simulate_task(
-            warning_task, population, mode="batch", **common
+        if every_scenario:
+            common.update(dismiss_weight=1.5, heed_weight=0.5)
+            cases = [
+                (scenario.task(), scenario.population(), scenario.calibration())
+                for scenario in all_scenarios().values()
+            ]
+        else:
+            cases = [(warning_task, general_web_population(), StageCalibration.neutral())]
+        funnel_labels = set()
+        for task, population, calibration in cases:
+            simulator = _simulator(batch_size=150, calibration=calibration)
+            batch = simulator.simulate_task(task, population, mode="batch", **common)
+            reference = simulator.simulate_task(
+                task, population, mode="reference", **common
+            )
+            assert len(batch.round_tallies) == len(reference.round_tallies) == 3
+            for batch_round, reference_round in zip(
+                batch.round_tallies, reference.round_tallies
+            ):
+                assert batch_round.outcome_counts() == reference_round.outcome_counts()
+                assert (
+                    batch_round.stage_failure_counts()
+                    == reference_round.stage_failure_counts()
+                )
+                assert batch_round.notice_rate() == reference_round.notice_rate()
+                assert batch_round.protection_rate() == reference_round.protection_rate()
+            # Per-record agreement — round index, and every stage
+            # probability in the traces — bit for bit.
+            assert len(batch.records) == len(reference.records) == N * 3
+            assert list(batch.records) == list(reference.records)
+            funnel_labels.update(batch.funnel.labels)
+        if every_scenario:
+            assert {"knowledge_retention", "knowledge_transfer"} <= funnel_labels
+
+    def test_round_invariant_terms_built_once_per_chunk(
+        self, warning_task, monkeypatch
+    ):
+        built = []
+        beliefs = []
+        real_terms = PipelinePlan.receiver_terms
+        real_belief = receiver_model.belief_score
+
+        def counting_terms(plan, receivers):
+            built.append(receivers.count)
+            return real_terms(plan, receivers)
+
+        def counting_belief(*args):
+            beliefs.append(1)
+            return real_belief(*args)
+
+        monkeypatch.setattr(PipelinePlan, "receiver_terms", counting_terms)
+        monkeypatch.setattr(receiver_model, "belief_score", counting_belief)
+        result = _simulator(batch_size=150).simulate_task(
+            warning_task, general_web_population(), rounds=10, recovery_rate=0.1
         )
-        reference = _simulator(batch_size=150).simulate_task(
-            warning_task, population, mode="reference", **common
-        )
-        assert len(batch.round_tallies) == len(reference.round_tallies) == 3
-        for batch_round, reference_round in zip(batch.round_tallies, reference.round_tallies):
-            assert batch_round.outcome_counts() == reference_round.outcome_counts()
-            assert batch_round.stage_failure_counts() == reference_round.stage_failure_counts()
-            assert batch_round.notice_rate() == reference_round.notice_rate()
-            assert batch_round.protection_rate() == reference_round.protection_rate()
-        # Per-record agreement, round index included.
-        assert len(batch.records) == len(reference.records) == N * 3
-        for batch_record, reference_record in zip(batch.records, reference.records):
-            assert batch_record.round_index == reference_record.round_index
-            assert batch_record.outcome is reference_record.outcome
-            assert batch_record.failed_stage is reference_record.failed_stage
-            assert batch_record.receiver_name == reference_record.receiver_name
+        chunks = result.chunks
+        assert chunks == 3  # 400 receivers in chunks of 150
+        assert built == [150, 150, 100]
+        assert len(beliefs) == chunks  # not chunks * rounds
 
     def test_passive_indicator_equivalence(self, busy_environment):
         from repro.core.task import HumanSecurityTask
