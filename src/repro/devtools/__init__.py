@@ -20,6 +20,8 @@ REP005    append-only-io            committed checkpoint bytes are immutable
 REP006    kernel-purity             no I/O / clock / logging in the traversal
                                     kernel modules
 REP007    no-mutable-default        no shared mutable default arguments
+REP008    no-hot-path-module-state  no module-level mutable state written
+                                    from the engine's hot-path functions
 ========  ========================  ==========================================
 
 See ``src/repro/devtools/README.md`` for the full catalogue, the

@@ -230,7 +230,7 @@ def registered_rules() -> List[Rule]:
     # import keeps framework importable from the rule modules themselves.
     from . import rules_io, rules_layout  # noqa: F401
     from . import rules_provenance, rules_purity  # noqa: F401
-    from . import rules_rng, rules_wallclock  # noqa: F401
+    from . import rules_rng, rules_state, rules_wallclock  # noqa: F401
 
     return [
         rule_class()

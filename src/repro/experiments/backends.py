@@ -8,9 +8,8 @@ run it* — any object satisfying the :class:`ExecutionBackend` protocol:
 
 * :class:`SerialBackend` — every variant inline, in declaration order
   (the default, and the executable specification the others must match).
-* :class:`ProcessBackend` — the former ``max_workers`` pool, now one
-  strategy among several; ``max_workers=`` on :meth:`Experiment.run`
-  survives as a deprecated shim mapped onto it.
+* :class:`ProcessBackend` — a local process pool of ``max_workers``
+  processes.
 * :class:`ShardBackend` — one deterministic shard of the grid per
   invocation, for splitting a sweep across hosts.  The partition strides
   over variant indices, and per-variant seeds derive from the experiment
@@ -32,7 +31,6 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import os
-import warnings
 from pathlib import Path
 from typing import (
     Any,
@@ -400,34 +398,8 @@ def resume_experiment(experiment: Experiment, checkpoint_dir: str) -> ResultSet:
     return ResultSet(experiment=experiment.name, rows=rows, seed=experiment.seed)
 
 
-def resolve_backend(
-    backend: Optional[ExecutionBackend] = None,
-    max_workers: Optional[int] = None,
-) -> ExecutionBackend:
-    """The backend an :meth:`Experiment.run` call asked for.
-
-    ``max_workers=`` is the pre-backend spelling: it maps onto
-    :class:`ProcessBackend` (``None``/``1`` stay serial, preserving the
-    historical semantics) with a :class:`DeprecationWarning`.  A bare
-    integer ``backend`` is a positional caller of the old
-    ``run(max_workers)`` signature and is routed through the same shim.
-    Passing both a backend and ``max_workers`` is a contradiction and
-    raises.
-    """
-    if backend is not None and max_workers is not None:
-        raise ExperimentError(
-            "pass either backend= or the deprecated max_workers=, not both"
-        )
-    if isinstance(backend, int) and not isinstance(backend, bool):
-        backend, max_workers = None, backend
-    if max_workers is not None:
-        warnings.warn(
-            "max_workers= is deprecated; pass backend=ProcessBackend(max_workers=N) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return ProcessBackend(max_workers=max_workers) if max_workers > 1 else SerialBackend()
+def resolve_backend(backend: Optional[ExecutionBackend] = None) -> ExecutionBackend:
+    """The backend an :meth:`Experiment.run` call asked for (serial by default)."""
     if backend is None:
         return SerialBackend()
     # runtime_checkable protocols only check attribute presence, so a

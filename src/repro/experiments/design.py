@@ -238,11 +238,7 @@ class Experiment:
         # so seeds never depend on execution order or ambient state.
         return int(np.random.SeedSequence([self.seed, index]).generate_state(1)[0])
 
-    def run(
-        self,
-        backend: Optional["ExecutionBackend"] = None,
-        max_workers: Optional[int] = None,
-    ) -> ResultSet:
+    def run(self, backend: Optional["ExecutionBackend"] = None) -> ResultSet:
         """Run every variant and collect a :class:`ResultSet`.
 
         ``backend`` selects the execution strategy — any
@@ -254,12 +250,10 @@ class Experiment:
         bit-identical across backends (each variant's stream derives from
         the experiment seed and the variant index, never from execution
         order); shard results reassemble via :meth:`ResultSet.merge`.
-        ``max_workers=`` is the deprecated pre-backend shim for
-        ``backend=ProcessBackend(max_workers=N)``.
         """
         from .backends import resolve_backend  # deferred: backends imports this module
 
-        return resolve_backend(backend=backend, max_workers=max_workers).execute(self)
+        return resolve_backend(backend).execute(self)
 
     def resume(self, checkpoint_dir: str) -> ResultSet:
         """Complete an interrupted (or partially-sharded) run from checkpoints.

@@ -8,8 +8,8 @@ scenarios) and returns the result rows.  Every unit carries its own
 derived seed and its variant's declaration index, so any execution
 strategy — inline, a process pool, or one shard per host (see
 :mod:`repro.experiments.backends`) — produces identical rows in a
-reconstructible order.  :func:`execute` remains as the legacy entry
-point, now a thin wrapper over the backend layer.
+reconstructible order.  :func:`execute` is the function form of
+:meth:`~repro.experiments.design.Experiment.run`.
 """
 
 from __future__ import annotations
@@ -181,17 +181,12 @@ def run_variant(run: VariantRun) -> List[ResultRow]:
 
 
 def execute(
-    experiment: Experiment,
-    max_workers: Optional[int] = None,
-    backend: Optional["ExecutionBackend"] = None,
+    experiment: Experiment, backend: Optional["ExecutionBackend"] = None
 ) -> ResultSet:
     """Run an experiment's variants through an execution backend.
 
-    Legacy entry point kept for callers of the pre-backend API:
-    ``max_workers`` maps onto
-    :class:`~repro.experiments.backends.ProcessBackend` (with a
-    deprecation warning); prefer :meth:`Experiment.run(backend=...)`.
+    The function form of :meth:`Experiment.run`.
     """
     from .backends import resolve_backend  # deferred: backends imports this module
 
-    return resolve_backend(backend=backend, max_workers=max_workers).execute(experiment)
+    return resolve_backend(backend).execute(experiment)

@@ -27,7 +27,7 @@ study) live in :mod:`repro.systems.scenario`.
 """
 
 from .attacker import AttackerModel, AttackVector, no_attacker, spoofing_attacker
-from .batch import BatchOutcomes, BatchReceivers, DrawBatch
+from .batch import BatchReceivers, DrawBatch
 from .calibration import StageCalibration
 from .engine import SIMULATION_MODES, HumanLoopSimulator, SimulationConfig
 from .habituation import (
@@ -82,7 +82,6 @@ __all__ = [
     "HumanLoopSimulator",
     "SIMULATION_MODES",
     "BatchReceivers",
-    "BatchOutcomes",
     "DrawBatch",
     "ReceiverRecord",
     "SimulationResult",

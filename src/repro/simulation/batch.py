@@ -19,17 +19,21 @@ The draw layout is shared with the engine's ``reference`` mode, which runs
 the *same* kernel one row at a time (width 1) over row slices of the same
 matrices (:meth:`DrawBatch.row`) — that is what makes the batch/reference
 equivalence regression test exact rather than statistical.
+
+The module holds no state between calls: the counter draws recycle memory
+only through a :class:`~repro.simulation.rng.DrawBuffers` their caller
+passes in (the engine passes its simulator's), and records are built
+straight from a batch while its draws are still live.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..core import receiver as receiver_model
-from ..core.exceptions import SimulationError
 from ..core.pipeline import (
     BatchWalk,
     PipelinePlan,
@@ -44,13 +48,14 @@ from .rng import (
     NOISE_STREAMS,
     SPOOF_STREAM,
     CounterDraws,
+    DrawBuffers,
     SimulationRng,
+    empty_array,
 )
 
 __all__ = [
     "BatchReceivers",
     "DrawBatch",
-    "BatchOutcomes",
     "decision_columns",
     "draw_batch",
     "redraw_decisions",
@@ -58,12 +63,7 @@ __all__ = [
     "redraw_decisions_counter",
     "evaluate_batch",
     "records_from_batch",
-    "LazyRecords",
 ]
-
-#: Backwards-compatible alias: the realized traversal of one batch is now
-#: the kernel's own result type.
-BatchOutcomes = BatchWalk
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +302,7 @@ def draw_batch_counter(
     population: PopulationSpec,
     count: int,
     draws: CounterDraws,
-    reuse_buffers: bool = False,
+    buffers: Optional[DrawBuffers] = None,
 ) -> DrawBatch:
     """Counter-mode :func:`draw_batch`: traits and decisions from keyed streams.
 
@@ -314,45 +314,25 @@ def draw_batch_counter(
     Traits always come from the chunk's round-0 cell (they are drawn once
     per chunk, like the matrix path's chunk stream).
 
-    ``reuse_buffers`` recycles the trait-block and decision-matrix
-    backing memory of the previous same-shape call — several megabytes
-    per chunk that otherwise get freed and page-faulted back in on every
-    chunk.  Only the engine may pass it, and only when the previous
-    chunk's draws are provably dead (records not kept); values are
-    identical either way.
+    With ``buffers`` the trait block and the decision matrix recycle the
+    memory of the previous same-shape draw from those buffers — several
+    megabytes per chunk that would otherwise be page-faulted in afresh —
+    so the batch is valid only until the next draw from them.  Values
+    are identical either way.
     """
     samples = population.sample_traits_counter(
         count,
         draws if draws.round_index == 0 else draws.for_round(0),
-        reuse_block=reuse_buffers,
+        buffers=buffers,
     )
-    return redraw_decisions_counter(plan, samples, draws, reuse_buffers=reuse_buffers)
-
-
-#: Reused F-order decision matrices keyed by shape — the
-#: ``reuse_buffers`` counterpart of the rng module's trait-block cache.
-_DECISIONS: Dict[Tuple[int, int], np.ndarray] = {}
-_DECISIONS_LIMIT = 8
-
-
-def _decisions_matrix(count: int, columns: int, reuse: bool) -> np.ndarray:
-    if not reuse:
-        return np.empty((count, columns), order="F")
-    key = (count, columns)
-    matrix = _DECISIONS.get(key)
-    if matrix is None:
-        if len(_DECISIONS) >= _DECISIONS_LIMIT:
-            _DECISIONS.clear()
-        matrix = np.empty((count, columns), order="F")
-        _DECISIONS[key] = matrix
-    return matrix
+    return redraw_decisions_counter(plan, samples, draws, buffers=buffers)
 
 
 def redraw_decisions_counter(
     plan: PipelinePlan,
     samples: TraitSamples,
     draws: CounterDraws,
-    reuse_buffers: bool = False,
+    buffers: Optional[DrawBuffers] = None,
 ) -> DrawBatch:
     """Counter-mode :func:`redraw_decisions` for one (seed, chunk, round) cell.
 
@@ -361,11 +341,12 @@ def redraw_decisions_counter(
     earlier rounds or on sibling chunks.  The decision matrix is laid out
     column-major: each column is one stream's contiguous prefix, filled in
     place, and the traversal kernel's per-stage column reads
-    (``decisions[:, column]``) stay contiguous too.
+    (``decisions[:, column]``) stay contiguous too.  ``buffers`` works as
+    in :func:`draw_batch_counter`.
     """
     count = samples.count
     if not plan.has_communication:
-        decisions = _decisions_matrix(count, 1, reuse_buffers)
+        decisions = empty_array(buffers, "decisions", (count, 1), order="F")
         draws.fill_uniforms(DECISION_STREAM_BASE, decisions[:, 0])
         return DrawBatch(
             samples=samples,
@@ -376,10 +357,10 @@ def redraw_decisions_counter(
     spoof_uniforms = draws.uniforms(SPOOF_STREAM, count)
     noise = draws.clipped_normals(
         NOISE_STREAMS, 0.0, plan.user_noise_std, -0.2, 0.2, count,
-        reuse_block=reuse_buffers,
+        buffers=buffers,
     )
     columns = len(plan.stages) + 4
-    decisions = _decisions_matrix(count, columns, reuse_buffers)
+    decisions = empty_array(buffers, "decisions", (count, columns), order="F")
     for column in range(columns):
         draws.fill_uniforms(DECISION_STREAM_BASE + column, decisions[:, column])
     return DrawBatch(
@@ -398,7 +379,7 @@ def evaluate_batch(
     exposures: Optional[np.ndarray] = None,
     trace=False,
     terms: Optional[ReceiverTerms] = None,
-) -> BatchOutcomes:
+) -> BatchWalk:
     """Advance every receiver in the batch through the pipeline at once.
 
     A thin adapter over the shared traversal kernel
@@ -435,7 +416,7 @@ def evaluate_batch(
 
 
 def records_from_batch(
-    outcomes: BatchOutcomes,
+    outcomes: BatchWalk,
     draws: DrawBatch,
     start_index: int = 0,
     round_index: int = 0,
@@ -469,154 +450,3 @@ def records_from_batch(
             )
         )
     return records
-
-
-class LazyRecords(list):
-    """A record list materialized from batch outcomes on first access.
-
-    Materializing :class:`~repro.simulation.metrics.ReceiverRecord`
-    objects dominates small runs (scalar traces for n=1,000 cost ~8x the
-    vectorized traversal itself), yet most callers only read the tallies.
-    The engine therefore parks the (outcomes, draws) pairs here and pays
-    for :func:`records_from_batch` only when the records are actually
-    read.  Records are frozen value-equal dataclasses built by the same
-    materializer, so a lazy list compares equal to its eager counterpart.
-
-    Memory stays bounded: the engine only keeps records for runs within
-    ``record_limit`` encounters, and the parked arrays are dropped once
-    materialized.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._pending: List[Tuple[Any, ...]] = []
-
-    def defer(
-        self,
-        outcomes: BatchOutcomes,
-        draws: DrawBatch,
-        start_index: int,
-        round_index: int,
-    ) -> None:
-        """Park one batch's outcome arrays for later materialization."""
-        self._pending.append((outcomes, draws, start_index, round_index))
-
-    def defer_chunk(
-        self, producer: Callable[[Any], List[ReceiverRecord]], spec: Any
-    ) -> None:
-        """Park a record *regeneration* instead of outcome arrays.
-
-        The engine's zero-copy parallel path uses this: a worker chunk
-        returns only its tallies, and the records — recomputable from the
-        chunk's (seed, chunk, round) coordinates alone — are produced
-        locally by ``producer(spec)`` on first read.
-        """
-        self._pending.append((producer, spec))
-
-    def materialize(self) -> None:
-        """Convert every parked batch into records (idempotent)."""
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        for entry in pending:
-            if len(entry) == 2:
-                producer, spec = entry
-                super().extend(producer(spec))
-                continue
-            outcomes, draws, start_index, round_index = entry
-            super().extend(
-                records_from_batch(
-                    outcomes, draws, start_index=start_index, round_index=round_index
-                )
-            )
-
-    def absorb(self, other: "LazyRecords") -> None:
-        """Chain another lazy list's parked batches onto this one.
-
-        The engine merges chunk partials with this: parked batches carry
-        their own ``start_index``/``round_index``, so concatenation in
-        chunk order needs no re-indexing.  Only legal while both sides
-        are still fully lazy — once either has materialized records the
-        interleaving order would be lost.
-        """
-        if list.__len__(self) or list.__len__(other):
-            raise SimulationError(
-                "absorb requires both record lists to be unmaterialized"
-            )
-        self._pending.extend(other._pending)
-
-    # Every read path materializes first.  list comparisons and pickling
-    # read the underlying storage directly (CPython uses the concrete
-    # list size/items, and pickle iterates), so the operations tests and
-    # serialization lean on are each routed through materialize().
-
-    def __len__(self) -> int:
-        self.materialize()
-        return super().__len__()
-
-    def __iter__(self):
-        self.materialize()
-        return super().__iter__()
-
-    def __getitem__(self, index):
-        self.materialize()
-        return super().__getitem__(index)
-
-    def __contains__(self, item) -> bool:
-        self.materialize()
-        return super().__contains__(item)
-
-    def __reversed__(self):
-        self.materialize()
-        return super().__reversed__()
-
-    def __eq__(self, other) -> bool:
-        self.materialize()
-        if isinstance(other, LazyRecords):
-            other.materialize()
-        return super().__eq__(other)
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        self.materialize()
-        return super().__repr__()
-
-    def __add__(self, other):
-        self.materialize()
-        return list(self) + list(other)
-
-    def __radd__(self, other):
-        self.materialize()
-        return list(other) + list(self)
-
-    def __reduce__(self):
-        self.materialize()
-        return (list, (), None, iter(list(self)))
-
-    def index(self, *args):
-        self.materialize()
-        return super().index(*args)
-
-    def count(self, value):
-        self.materialize()
-        return super().count(value)
-
-    def copy(self):
-        self.materialize()
-        return list(self)
-
-    def append(self, item):
-        self.materialize()
-        super().append(item)
-
-    def extend(self, items):
-        self.materialize()
-        super().extend(items)
-
-    def insert(self, index, item):
-        self.materialize()
-        super().insert(index, item)

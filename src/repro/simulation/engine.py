@@ -18,8 +18,11 @@ pre-drawn randomness:
   uniform matrix supplies every decision, which makes 100k+-receiver
   populations practical.  Chunks of ``batch_size`` receivers are folded
   into a streaming :class:`~repro.simulation.metrics.SimulationTally`, so
-  memory stays O(batch); full per-receiver records (with stage traces)
-  are materialized only when the run is within ``record_limit``.
+  memory stays O(batch).  Chunks return only integer tallies; for runs
+  within ``record_limit`` the full per-receiver records (with stage
+  traces) are regenerated from the chunks' coordinates on first read.
+  Counter draws recycle draw buffers owned by the
+  :class:`HumanLoopSimulator`; the module keeps no draw state of its own.
 * ``mode="reference"`` — the same traversal kernel at width 1: each row of
   the pre-drawn matrices is sliced into a one-receiver batch
   (:meth:`~repro.simulation.batch.DrawBatch.row`) and evaluated
@@ -81,10 +84,13 @@ Outcome semantics mirror the case studies:
 from __future__ import annotations
 
 import atexit
+import collections.abc
 import concurrent.futures
+import contextlib
 import dataclasses
+import threading
 import time
-from typing import Dict, List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -105,7 +111,7 @@ from .metrics import (
     SimulationTally,
 )
 from .population import PopulationSpec
-from .rng import CounterDraws, SimulationRng
+from .rng import CounterDraws, DrawBuffers, SimulationRng
 
 __all__ = [
     "SimulationConfig",
@@ -122,7 +128,7 @@ SIMULATION_MODES = ("batch", "reference")
 #: provenance, machine-checked by ``repro.devtools`` rule REP003: the
 #: ``attacker`` is structural input rebuilt from the task/scenario
 #: declaration the provenance already names, and ``record_limit`` only
-#: bounds which derived per-receiver records are retained in memory —
+#: bounds which runs offer their derived per-receiver records —
 #: records are never serialized, and the streaming aggregates do not
 #: depend on it.  Every other config field must appear in
 #: :func:`repro.io.json_io.simulation_result_to_dict`'s provenance block.
@@ -148,7 +154,8 @@ class SimulationConfig:
 
     ``batch_size`` bounds the number of receivers materialized as arrays
     at any moment; ``record_limit`` bounds the number of receiver-round
-    encounters for which full per-receiver records are kept (beyond it,
+    encounters for which full per-receiver records are offered,
+    regenerated from the chunk coordinates on first read (beyond it,
     only the streaming tallies are retained).  ``rounds`` is the number of
     hazard encounters each receiver faces and ``recovery_rate`` the
     habituation recovery applied in the exposure-free gap between rounds
@@ -216,7 +223,8 @@ class _ChunkSpec:
     Everything a worker process needs to reproduce the chunk exactly:
     both rng modes derive chunk randomness from ``(base_seed,
     chunk_index)`` alone (never from sibling chunks), which is what makes
-    the partials identical whichever process — or order — computes them.
+    the partials identical whichever process — or order — computes them,
+    and what lets the run's records be regenerated from the specs.
     """
 
     plan: PipelinePlan
@@ -232,12 +240,11 @@ class _ChunkSpec:
     dismiss_weight: float
     heed_weight: float
     want_trace: bool
-    keep_records: bool
 
 
 @dataclasses.dataclass
 class _ChunkPartial:
-    """One chunk's streaming partials, merged into the result in chunk order.
+    """One chunk's integer tallies, merged into the result in chunk order.
 
     Each round's outcomes are folded once, into that round's tallies; the
     run's aggregate tally and funnel are merged from the per-round ones
@@ -246,16 +253,22 @@ class _ChunkPartial:
 
     round_tallies: List[RoundTally]
     round_funnels: List[FunnelTally]
-    records: List[ReceiverRecord]
 
 
-def _simulate_chunk(spec: _ChunkSpec) -> _ChunkPartial:
+def _simulate_chunk(
+    spec: _ChunkSpec,
+    buffers: Optional[DrawBuffers] = None,
+    records: Optional[List[ReceiverRecord]] = None,
+) -> _ChunkPartial:
     """Advance one chunk of receivers through every hazard-encounter round.
 
     The extracted body of the engine's chunk loop, shared by the serial
-    path and the in-call multicore path (``chunk_workers > 1``).  Integer
-    tallies merged in chunk order reproduce the streaming serial fold bit
-    for bit.
+    path, the in-call multicore path (``chunk_workers > 1``) and record
+    regeneration.  Integer tallies merged in chunk order reproduce the
+    streaming serial fold bit for bit.  Counter draws recycle ``buffers``
+    from round to round (fresh arrays without them).  With a ``records``
+    list, each round's records are appended to it while that round's
+    draws are still live.
     """
     plan = spec.plan
     partial = _ChunkPartial(
@@ -263,16 +276,11 @@ def _simulate_chunk(spec: _ChunkSpec) -> _ChunkPartial:
         round_funnels=(
             [FunnelTally() for _ in range(spec.rounds)] if spec.want_trace else []
         ),
-        records=batch_module.LazyRecords() if spec.mode == "batch" else [],
     )
     if spec.rng_mode == "counter":
         cell = CounterDraws(spec.base_seed, spec.chunk_index)
-        # Batch chunks whose records die with the chunk may recycle the
-        # multi-megabyte draw buffers of the previous chunk; kept records
-        # hold views of those buffers, so they force fresh allocations.
-        reuse_buffers = spec.mode == "batch" and not spec.keep_records
         draws = batch_module.draw_batch_counter(
-            plan, spec.population, spec.size, cell, reuse_buffers=reuse_buffers
+            plan, spec.population, spec.size, cell, buffers=buffers
         )
     else:
         chunk_rng = SimulationRng(spec.base_seed).spawn(spec.chunk_index)
@@ -302,10 +310,7 @@ def _simulate_chunk(spec: _ChunkSpec) -> _ChunkPartial:
             # layout exactly).
             if spec.rng_mode == "counter":
                 draws = batch_module.redraw_decisions_counter(
-                    plan,
-                    draws.samples,
-                    cell.for_round(round_index),
-                    reuse_buffers=reuse_buffers,
+                    plan, draws.samples, cell.for_round(round_index), buffers=buffers
                 )
             else:
                 draws = batch_module.redraw_decisions(
@@ -329,8 +334,12 @@ def _simulate_chunk(spec: _ChunkSpec) -> _ChunkPartial:
             round_tally.add_batch(outcomes)
             if round_funnel is not None:
                 round_funnel.add_counts(outcomes.funnel_counts)
-            if spec.keep_records:
-                partial.records.defer(outcomes, draws, spec.offset, round_index)
+            if records is not None:
+                records.extend(
+                    batch_module.records_from_batch(
+                        outcomes, draws, start_index=spec.offset, round_index=round_index
+                    )
+                )
             protected = outcomes.protected
         else:
             # Reference mode: the same traversal kernel at width 1, one
@@ -357,8 +366,8 @@ def _simulate_chunk(spec: _ChunkSpec) -> _ChunkPartial:
                 round_tally.add_record(record)
                 if round_funnel is not None:
                     round_funnel.add_counts(row_outcomes.funnel_counts)
-                if spec.keep_records:
-                    partial.records.append(record)
+                if records is not None:
+                    records.append(record)
                 if advancing:
                     protected[row] = bool(row_outcomes.protected[0])
         if advancing:
@@ -379,18 +388,49 @@ def _simulate_chunk(spec: _ChunkSpec) -> _ChunkPartial:
     return partial
 
 
-def _regenerate_chunk_records(spec: _ChunkSpec) -> List[ReceiverRecord]:
-    """Recompute one chunk's records from its coordinates alone.
+class _RecordSequence(collections.abc.Sequence):
+    """A run's per-receiver records, regenerated from its chunk specs.
 
-    The zero-copy parallel path sends workers record-free specs (tallies
-    are integers; records would be megabytes of pickled dataclasses) and
-    parks this regeneration per chunk instead: both rng modes derive the
-    chunk's randomness from ``(base_seed, chunk_index)``, so re-running
-    the chunk locally yields records bit-identical to the ones the worker
-    skipped building.
+    Chunks return only tallies.  Each chunk's randomness is keyed by
+    ``(seed, chunk index)`` alone, so re-running the chunks with record
+    building on yields the records the run would have built, bit for
+    bit.  The first read pays for that once; unread records cost nothing.
+    Pickling produces a plain list of the records.
     """
-    partial = _simulate_chunk(dataclasses.replace(spec, keep_records=True))
-    return list(partial.records)
+
+    def __init__(self, specs: Sequence[_ChunkSpec]) -> None:
+        self._specs = tuple(specs)
+        self._records: Optional[List[ReceiverRecord]] = None
+
+    def _materialized(self) -> List[ReceiverRecord]:
+        if self._records is None:
+            records: List[ReceiverRecord] = []
+            for spec in self._specs:
+                _simulate_chunk(spec, records=records)
+            self._records = records
+        return self._records
+
+    def __len__(self) -> int:
+        return sum(spec.size * spec.rounds for spec in self._specs)
+
+    def __getitem__(self, index):
+        return self._materialized()[index]
+
+    def __iter__(self) -> Iterator[ReceiverRecord]:
+        return iter(self._materialized())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, collections.abc.Sequence):
+            return NotImplemented
+        return self._materialized() == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(self._materialized())
+
+    def __reduce__(self):
+        return (list, (self._materialized(),))
 
 
 # One process pool per interpreter, reused across simulate calls so
@@ -400,40 +440,32 @@ def _regenerate_chunk_records(spec: _ChunkSpec) -> List[ReceiverRecord]:
 # ``chunk_workers`` and hit the cached pool every time; changing the
 # worker count pays a single respin.  (An oversized shared pool would be
 # reusable too, but ``pool.map`` would then run more chunks concurrently
-# than the caller's ``chunk_workers`` cap allows.)
+# than the caller's ``chunk_workers`` cap allows.)  ``_POOL_LOCK`` is
+# held from pool lookup to the end of the map, so a thread asking for
+# another worker count never shuts down a pool that is still mapping;
+# concurrent parallel calls take turns on the pool's processes.
+_POOL_LOCK = threading.RLock()
 _POOL: Optional[concurrent.futures.ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
 
 
-def _chunk_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
+def _replace_pool(workers: int, wait: bool = False) -> None:
+    """Shut the pool down and start one of ``workers`` processes (0: none)."""
+    # repro-lint: allow REP008 — rebound only under _POOL_LOCK
     global _POOL, _POOL_WORKERS
-    if _POOL is None or _POOL_WORKERS != workers:
+    with _POOL_LOCK:
         if _POOL is not None:
-            _POOL.shutdown(wait=False, cancel_futures=True)
-        _POOL = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+            _POOL.shutdown(wait=wait, cancel_futures=True)
+        _POOL = (
+            concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+            if workers
+            else None
+        )
         _POOL_WORKERS = workers
-    return _POOL
 
 
-def _discard_pool() -> None:
-    """Drop the persistent pool (crashed worker, or test isolation)."""
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None:
-        _POOL.shutdown(wait=False, cancel_futures=True)
-    _POOL = None
-    _POOL_WORKERS = 0
-
-
-def _shutdown_pool_at_exit() -> None:
-    """Join pool workers before interpreter teardown dismantles modules."""
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None:
-        _POOL.shutdown(wait=True, cancel_futures=True)
-    _POOL = None
-    _POOL_WORKERS = 0
-
-
-atexit.register(_shutdown_pool_at_exit)
+# Join pool workers before interpreter teardown dismantles modules.
+atexit.register(_replace_pool, 0, wait=True)
 
 
 def _run_chunks_parallel(
@@ -441,44 +473,35 @@ def _run_chunks_parallel(
 ) -> List[_ChunkPartial]:
     """Fan chunk specs across the persistent pool, in spec order.
 
-    A worker process killed mid-call breaks the shared executor; the one
+    Workers receive coordinates and return integer tallies only.  A
+    worker process killed mid-call breaks the shared executor; the one
     retry rebuilds the pool and recomputes every chunk (chunks are pure
     functions of their spec, so the retry cannot change results).
     """
-    pool = _chunk_pool(workers)
-    try:
-        return list(pool.map(_simulate_chunk, specs))
-    except concurrent.futures.process.BrokenProcessPool:
-        _discard_pool()
-        pool = _chunk_pool(workers)
-        return list(pool.map(_simulate_chunk, specs))
-
-
-def _merged_records(partials: List[_ChunkPartial]) -> List[ReceiverRecord]:
-    """Concatenate chunk records in chunk order, staying lazy when possible.
-
-    In-process batch chunks arrive as unmaterialized
-    :class:`~repro.simulation.batch.LazyRecords` and chain without paying
-    for record construction; chunks that crossed a process boundary (or
-    reference-mode chunks) arrive as plain lists and merge eagerly.
-    """
-    record_lists = [partial.records for partial in partials]
-    if all(isinstance(records, batch_module.LazyRecords) for records in record_lists):
-        merged = batch_module.LazyRecords()
-        for records in record_lists:
-            merged.absorb(records)
-        return merged
-    merged_eager: List[ReceiverRecord] = []
-    for records in record_lists:
-        merged_eager.extend(records)
-    return merged_eager
+    with _POOL_LOCK:
+        if _POOL is None or _POOL_WORKERS != workers:
+            _replace_pool(workers)
+        try:
+            return list(_POOL.map(_simulate_chunk, specs))
+        except concurrent.futures.process.BrokenProcessPool:
+            _replace_pool(workers)
+            return list(_POOL.map(_simulate_chunk, specs))
 
 
 class HumanLoopSimulator:
-    """Monte-Carlo simulator of humans in the loop of a secure system."""
+    """Monte-Carlo simulator of humans in the loop of a secure system.
+
+    The simulator owns the :class:`~repro.simulation.rng.DrawBuffers` its
+    serial counter-mode chunks draw into, so consecutive chunks and calls
+    recycle the same memory.  A call that finds them in use by another
+    thread draws into private buffers instead: concurrent calls on one
+    simulator never share memory.
+    """
 
     def __init__(self, config: Optional[SimulationConfig] = None) -> None:
         self.config = config or SimulationConfig()
+        self._buffers = DrawBuffers()
+        self._buffers_lock = threading.Lock()
 
     # -- public API -------------------------------------------------------------
 
@@ -542,7 +565,6 @@ class HumanLoopSimulator:
 
         started = time.perf_counter()
         plan = self._plan_for(task)
-        keep_records = mode == "reference" or count * rounds <= config.record_limit
 
         result = SimulationResult(
             task_name=task.name,
@@ -582,7 +604,6 @@ class HumanLoopSimulator:
                     dismiss_weight=config.dismiss_weight,
                     heed_weight=config.heed_weight,
                     want_trace=want_trace,
-                    keep_records=keep_records,
                 )
             )
             offset += size
@@ -592,31 +613,12 @@ class HumanLoopSimulator:
             # chunk index) alone), so fan the specs across the persistent
             # pool and fold the partials back in chunk order —
             # bit-identical to the serial path for any worker count.
-            #
-            # Counter mode dispatches zero-copy: workers get record-free
-            # specs (their partials carry only integer tallies — no draw
-            # matrices or record lists cross the process boundary) and
-            # each chunk's records are parked as a local regeneration
-            # from the same coordinates, paid only if the records are
-            # actually read.
-            defer_records = (
-                keep_records and mode == "batch" and config.rng_mode == "counter"
-            )
-            worker_specs = (
-                [dataclasses.replace(spec, keep_records=False) for spec in specs]
-                if defer_records
-                else specs
-            )
             partials = _run_chunks_parallel(
-                worker_specs, min(config.chunk_workers, len(specs))
+                specs, min(config.chunk_workers, len(specs))
             )
-            if defer_records:
-                for spec, partial in zip(specs, partials):
-                    lazy = batch_module.LazyRecords()
-                    lazy.defer_chunk(_regenerate_chunk_records, spec)
-                    partial.records = lazy
         else:
-            partials = [_simulate_chunk(spec) for spec in specs]
+            with self._draw_buffers() as buffers:
+                partials = [_simulate_chunk(spec, buffers) for spec in specs]
 
         for partial in partials:
             for round_tally, partial_round in zip(result.round_tallies, partial.round_tallies):
@@ -627,8 +629,8 @@ class HumanLoopSimulator:
             result.tally.merge(round_tally)
         for funnel in result.round_funnels:
             result.funnel.merge(funnel)
-        if keep_records:
-            result.records = _merged_records(partials)
+        if mode == "reference" or count * rounds <= config.record_limit:
+            result.records = _RecordSequence(specs)
         result.chunks = len(specs)
         result.elapsed_seconds = time.perf_counter() - started
         return result
@@ -663,6 +665,17 @@ class HumanLoopSimulator:
         return self._record_from_walk(walk, index=index, receiver_name=receiver.name)
 
     # -- internals ----------------------------------------------------------------
+
+    @contextlib.contextmanager
+    def _draw_buffers(self) -> Iterator[DrawBuffers]:
+        """This simulator's buffers, or private ones while another call holds them."""
+        if not self._buffers_lock.acquire(blocking=False):
+            yield DrawBuffers()
+            return
+        try:
+            yield self._buffers
+        finally:
+            self._buffers_lock.release()
 
     def _plan_for(self, task: HumanSecurityTask) -> PipelinePlan:
         return build_pipeline(

@@ -104,7 +104,7 @@ class SimulationTally:
                 self.attention_succeeded += 1
 
     def add_batch(self, outcomes) -> None:
-        """Fold a :class:`repro.simulation.batch.BatchOutcomes` into the tally."""
+        """Fold a :class:`repro.core.pipeline.BatchWalk` into the tally."""
         count = outcomes.count
         self.n += count
         self.protected += int(np.count_nonzero(outcomes.protected))
@@ -351,8 +351,12 @@ class SimulationResult:
     The engine always populates ``tally``; ``records`` carries the full
     per-receiver traces only when the run is small enough (see
     ``SimulationConfig.record_limit``) or the scalar reference mode is
-    used.  Results built by hand from records alone (as some tests do)
-    derive their tally lazily.
+    used.  The engine's chunks return only integer tallies, so its
+    ``records`` is a read-only sequence that regenerates them from the
+    run's chunk coordinates on first read (bit-identical to building
+    them during the run) and pickles as a plain list.  Results built by
+    hand from records alone (as some tests do) derive their tally
+    lazily.
 
     ``seed``, ``mode``, and ``batch_size`` together make the run exactly
     reproducible (both modes consume pre-drawn randomness chunked by
@@ -397,7 +401,7 @@ class SimulationResult:
 
     task_name: str
     population_name: str
-    records: List[ReceiverRecord] = dataclasses.field(default_factory=list)
+    records: Sequence[ReceiverRecord] = dataclasses.field(default_factory=list)
     seed: int = 0
     calibration_label: str = "neutral"
     tally: Optional[SimulationTally] = None

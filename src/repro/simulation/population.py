@@ -42,6 +42,7 @@ from .rng import (
     AGE_STREAMS,
     TRAINED_STREAM,
     CounterDraws,
+    DrawBuffers,
     SimulationRng,
     trait_streams,
 )
@@ -264,7 +265,10 @@ class PopulationSpec:
         )
 
     def sample_traits_counter(
-        self, count: int, draws: CounterDraws, reuse_block: bool = False
+        self,
+        count: int,
+        draws: CounterDraws,
+        buffers: Optional[DrawBuffers] = None,
     ) -> TraitSamples:
         """Draw ``count`` receivers from counter-based keyed streams.
 
@@ -277,9 +281,9 @@ class PopulationSpec:
         :meth:`CounterDraws.clipped_normal_block` call, so the
         Box-Muller transcendentals run as a single vectorized pass over
         the whole trait block rather than once per trait.
-        ``reuse_block`` recycles the backing buffer of the previous
-        same-shape call (see :meth:`CounterDraws.clipped_normal_block`);
-        only pass it when the prior samples are no longer referenced.
+        With ``buffers`` the trait arrays are views of a recycled block
+        (see :meth:`CounterDraws.clipped_normal_block`), valid until the
+        next same-shape draw from those buffers.
         """
         if count < 0:
             raise SimulationError("count must be non-negative")
@@ -293,7 +297,7 @@ class PopulationSpec:
             [d.low for d in distributions] + [18],
             [d.high for d in distributions] + [90],
             count,
-            reuse_block=reuse_block,
+            buffers=buffers,
         )
         traits = {trait: block[index] for index, trait in enumerate(TRAIT_NAMES)}
         ages = np.rint(block[len(TRAIT_NAMES)]).astype(int)

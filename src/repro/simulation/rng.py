@@ -31,6 +31,10 @@ generator and repositions it per stream by assigning a cached state
 template — bulk fills, redraws and point queries all share it
 (:attr:`CounterDraws.bit_generator_constructions` counts the
 constructions so the regression suite can pin the cache).
+
+The module keeps no mutable state of its own.  Arrays the counter draws
+fill come from a :class:`DrawBuffers` the caller owns and passes in, or
+are allocated fresh, so concurrent draws never share memory.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ from ..core.exceptions import SimulationError
 __all__ = [
     "SimulationRng",
     "CounterDraws",
-    "PhiloxDraws",
+    "DrawBuffers",
+    "empty_array",
     "trait_streams",
     "AGE_STREAMS",
     "TRAINED_STREAM",
@@ -85,51 +90,51 @@ def trait_streams(trait_index: int) -> Tuple[int, int]:
 _TWO_PI = 2.0 * np.pi
 _MASK64 = (1 << 64) - 1
 
-#: Reused Box-Muller scratch buffers keyed by shape.  The transform needs
-#: three temporaries (the cosine, the unit sine, and the sine-sign
-#: carrier); allocating them fresh every call pays page-fault cost on
-#: each chunk, and chunk sizes repeat, so a tiny per-process cache
-#: amortizes it to zero.
-_SCRATCH: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_SCRATCH_LIMIT = 8
+class DrawBuffers:
+    """Reusable draw arrays for one caller at a time, keyed by purpose and shape.
+
+    The counter draws fill multi-megabyte arrays per chunk: the trait
+    block, the Box–Muller temporaries and the decision matrix.  Chunk
+    sizes repeat, so handing the same memory back on the next same-shape
+    request saves the page faults of a fresh allocation every chunk.
+    :class:`~repro.simulation.engine.HumanLoopSimulator` owns one and
+    passes it down explicitly; draw functions called without one
+    allocate fresh arrays.
+
+    An array stays valid only until the next request with the same
+    purpose and shape, so a holder must be used by one call at a time,
+    and that call must not keep views of its draws past the next draw.
+    """
+
+    #: Distinct (purpose, shape, order) arrays kept before starting over.
+    LIMIT = 32
+
+    def __init__(self) -> None:
+        self._arrays: Dict[Tuple[str, Tuple[int, ...], str], np.ndarray] = {}
+
+    def array(
+        self, purpose: str, shape: Tuple[int, ...], order: str = "C"
+    ) -> np.ndarray:
+        """The uninitialized array kept for ``purpose`` at ``shape``."""
+        key = (purpose, shape, order)
+        array = self._arrays.get(key)
+        if array is None:
+            if len(self._arrays) >= self.LIMIT:
+                self._arrays.clear()
+            array = self._arrays[key] = np.empty(shape, order=order)
+        return array
 
 
-def _scratch(rows: int, half: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    key = (rows, half)
-    buffers = _SCRATCH.get(key)
+def empty_array(
+    buffers: Optional[DrawBuffers],
+    purpose: str,
+    shape: Tuple[int, ...],
+    order: str = "C",
+) -> np.ndarray:
+    """``buffers.array(...)``, or a fresh array when there are no buffers."""
     if buffers is None:
-        if len(_SCRATCH) >= _SCRATCH_LIMIT:
-            _SCRATCH.clear()
-        buffers = (
-            np.empty((rows, half)),
-            np.empty((rows, half)),
-            np.empty((rows, half)),
-        )
-        _SCRATCH[key] = buffers
-    return buffers
-
-
-#: Reused *output* blocks for :meth:`CounterDraws.clipped_normal_block`,
-#: keyed by shape.  Unlike the scratch temporaries these escape to the
-#: caller, so reuse is opt-in (``reuse_block=True``): the caller promises
-#: the previous same-shape block is no longer referenced.  The engine
-#: makes that promise exactly when a chunk's draws die with the chunk
-#: (records not kept) — which is what keeps the multi-megabyte trait
-#: block from being freed and page-faulted back in on every chunk.
-_BLOCKS: Dict[Tuple[int, int], np.ndarray] = {}
-
-
-def _output_block(rows: int, width: int, reuse: bool) -> np.ndarray:
-    if not reuse:
-        return np.empty((rows, width))
-    key = (rows, width)
-    block = _BLOCKS.get(key)
-    if block is None:
-        if len(_BLOCKS) >= _SCRATCH_LIMIT:
-            _BLOCKS.clear()
-        block = np.empty((rows, width))
-        _BLOCKS[key] = block
-    return block
+        return np.empty(shape, order=order)
+    return buffers.array(purpose, shape, order)
 
 
 def _splitmix64(value: int) -> int:
@@ -404,7 +409,7 @@ class CounterDraws:
         lows: Sequence[float],
         highs: Sequence[float],
         count: int,
-        reuse_block: bool = False,
+        buffers: Optional[DrawBuffers] = None,
     ) -> np.ndarray:
         """A (len(pairs), count) matrix of clipped Box-Muller normals.
 
@@ -414,10 +419,10 @@ class CounterDraws:
         consume no stream values, mirroring
         :meth:`SimulationRng.truncated_normal_array`.
 
-        With ``reuse_block=True`` the returned matrix is a view of a
-        per-process buffer shared by every same-shape call: the caller
-        asserts the previous same-shape result is dead (values are
-        unchanged either way — only the backing memory is recycled).
+        With ``buffers`` the returned matrix and the transform's
+        temporaries come from that :class:`DrawBuffers`, so the result is
+        only valid until its next same-shape draw (values are the same
+        either way — only the backing memory is recycled).
         """
         if count < 0:
             raise SimulationError("count must be non-negative")
@@ -428,7 +433,7 @@ class CounterDraws:
             if high < low:
                 raise SimulationError("high must be >= low")
         half = (count + 1) // 2
-        block = _output_block(rows, 2 * half, reuse_block)
+        block = empty_array(buffers, "normals", (rows, 2 * half))
         active = [row for row in range(rows) if stds[row] > 0]
         if active and count:
             u1 = block[:, :half]
@@ -440,7 +445,10 @@ class CounterDraws:
             sub1 = u1[active] if len(active) < rows else u1
             sub2 = u2[active] if len(active) < rows else u2
             # sub = copies when some rows are inactive; write results back.
-            cosine, unit_sine, sine_sign = _scratch(len(active), half)
+            shape = (len(active), half)
+            cosine = empty_array(buffers, "cosine", shape)
+            unit_sine = empty_array(buffers, "unit_sine", shape)
+            sine_sign = empty_array(buffers, "sine_sign", shape)
             radius = sub1
             # log(1 - u) over log1p(-u): numpy vectorizes log but not
             # log1p, and the argument only loses precision where the
@@ -501,7 +509,7 @@ class CounterDraws:
         low: float,
         high: float,
         size: int,
-        reuse_block: bool = False,
+        buffers: Optional[DrawBuffers] = None,
     ) -> np.ndarray:
         """``size`` dual-output Box-Muller normals clipped to [low, high].
 
@@ -510,7 +518,7 @@ class CounterDraws:
         untouched — counter streams have no draw-order state to preserve).
         """
         return self.clipped_normal_block(
-            [streams], [mean], [std], [low], [high], size, reuse_block=reuse_block
+            [streams], [mean], [std], [low], [high], size, buffers=buffers
         )[0]
 
     def clipped_normal_at(
@@ -562,9 +570,3 @@ class CounterDraws:
         else:
             value = float((cosine * radius)[0])
         return float(min(high, max(low, value + mean)))
-
-
-#: Backwards-compatible alias: the counter cell kept its public shape when
-#: the backing engine moved from per-call Philox construction to cached
-#: keyed PCG64 streams (PR 9).
-PhiloxDraws = CounterDraws

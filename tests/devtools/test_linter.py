@@ -37,6 +37,7 @@ ALL_RULE_IDS = (
     "REP005",
     "REP006",
     "REP007",
+    "REP008",
 )
 
 
@@ -87,6 +88,7 @@ def test_real_source_tree_is_clean():
         ("io_bad.py", "REP005", 4),
         ("core/pipeline.py", "REP006", 4),
         ("defaults_bad.py", "REP007", 4),
+        ("simulation/rng.py", "REP008", 4),
     ],
 )
 def test_bad_fixture_fires_only_its_rule(fixture, rule_id, count):
@@ -190,6 +192,50 @@ def test_rep006_scopes_to_kernel_paths_only(tmp_path):
     assert "REP006" in rules_fired(run_lint([str(mirrored)]))
 
 
+def test_rep008_flags_module_state_writes_from_functions():
+    diagnostics = run_lint([str(BAD / "simulation" / "rng.py")])
+    assert [(d.rule, d.line) for d in diagnostics] == [
+        ("REP008", 15),
+        ("REP008", 17),
+        ("REP008", 22),
+        ("REP008", 24),
+    ]
+    assert "_SCRATCH.clear()" in diagnostics[0].message
+    assert "subscript store" in diagnostics[1].message
+    assert "global rebinding of _CALLS" in diagnostics[2].message
+    assert "_SEEN.append()" in diagnostics[3].message
+
+
+def test_rep008_scopes_to_hot_path_modules_only(tmp_path):
+    source = (BAD / "simulation" / "rng.py").read_text(encoding="utf-8")
+    elsewhere = tmp_path / "service" / "cache.py"
+    elsewhere.parent.mkdir()
+    elsewhere.write_text(source, encoding="utf-8")
+    assert run_lint([str(elsewhere)]) == []
+
+    for module in ("engine.py", "batch.py", "population.py"):
+        mirrored = tmp_path / "simulation" / module
+        mirrored.parent.mkdir(exist_ok=True)
+        mirrored.write_text(source, encoding="utf-8")
+        assert rules_fired(run_lint([str(mirrored)])) == {"REP008"}
+
+
+def test_rep008_suppression_needs_the_rule_id(tmp_path):
+    source = (
+        "_POOL = None\n"
+        "def replace(pool):\n"
+        "    # repro-lint: allow REP008 — rebound only under a lock\n"
+        "    global _POOL\n"
+        "    _POOL = pool\n"
+    )
+    target = tmp_path / "simulation" / "engine.py"
+    target.parent.mkdir()
+    target.write_text(source, encoding="utf-8")
+    assert run_lint([str(target)]) == []
+    target.write_text(source.replace("REP008", "REP007"), encoding="utf-8")
+    assert rules_fired(run_lint([str(target)])) == {"REP008"}
+
+
 # ---------------------------------------------------------------------------
 # Suppressions
 # ---------------------------------------------------------------------------
@@ -273,10 +319,10 @@ def test_every_rule_has_a_good_and_bad_fixture_file():
     bad_names = {path.name for path in BAD.rglob("*.py")}
     assert {"rng_good.py", "wallclock_good.py", "provenance_good.py",
             "layout_good.py", "io_good.py", "pipeline.py",
-            "defaults_good.py"} <= good_names
+            "defaults_good.py", "rng.py"} <= good_names
     assert {"rng_bad.py", "wallclock_bad.py", "provenance_bad.py",
             "layout_bad.py", "io_bad.py", "pipeline.py",
-            "defaults_bad.py"} <= bad_names
+            "defaults_bad.py", "rng.py"} <= bad_names
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Shard determinism (sharded == serial bit for bit), merge semantics
 (provenance validation, overlapping-shard clash rejection, canonical row
-order), checkpoint/resume (no recomputation of finished rows), and the
-deprecated ``max_workers=`` shim.
+order), checkpoint/resume (no recomputation of finished rows), and
+backend selection.
 """
 
 import pytest
@@ -65,24 +65,15 @@ class TestBackendSelection:
         parallel = experiment.run(backend=ProcessBackend(max_workers=2))
         assert canonical(parallel) == canonical(serial)
 
-    def test_max_workers_shim_warns_and_matches(self, experiment, serial):
-        with pytest.warns(DeprecationWarning, match="max_workers"):
-            shimmed = experiment.run(max_workers=2)
-        assert canonical(shimmed) == canonical(serial)
-
-    def test_positional_max_workers_caller_still_routed(self, experiment, serial):
-        # Pre-backend code called run(N) with max_workers positional.
-        with pytest.warns(DeprecationWarning, match="max_workers"):
-            shimmed = experiment.run(2)
-        assert canonical(shimmed) == canonical(serial)
-
-    def test_backend_and_max_workers_is_a_contradiction(self, experiment):
-        with pytest.raises(ExperimentError):
-            experiment.run(backend=SerialBackend(), max_workers=2)
-
     def test_non_backend_rejected(self, experiment):
         with pytest.raises(ExperimentError):
             experiment.run(backend=object())
+
+    def test_worker_count_is_not_a_backend(self, experiment):
+        # The old run(max_workers) spelling is gone; an integer gets the
+        # protocol error instead of a silent pool.
+        with pytest.raises(ExperimentError, match="ExecutionBackend"):
+            experiment.run(2)
 
     def test_backend_class_instead_of_instance_rejected(self, experiment):
         # runtime_checkable protocols pass classes on attribute presence;

@@ -1,16 +1,20 @@
-"""Simulate/sweep endpoints: dispatch threshold, cache bit-identity."""
+"""Simulate/sweep endpoints: dispatch threshold, cache bit-identity, threads."""
 
 from __future__ import annotations
 
+import concurrent.futures
 from pathlib import Path
 
 import repro.experiments.runner as runner_module
 import repro.service.requests as service_requests
 from repro.experiments import Experiment, VariantSpec
+from repro.experiments.results import WALL_CLOCK_METRICS
 from repro.io.eventlog import read_events
-from repro.io.experiments_io import resultset_to_dict
+from repro.io.experiments_io import resultset_from_dict, resultset_to_dict
 from repro.service import ServiceConfig, ServiceState, create_app
-from repro.service.cache import CACHE_FILENAME
+from repro.service.cache import CACHE_FILENAME, row_cache_key
+
+from .conftest import wsgi_call
 
 
 class TestDispatchThreshold:
@@ -258,3 +262,85 @@ class TestAnalyze:
             "POST", "/analyze", body={"scenario": "passwords", "n_receivers": 5}
         )
         assert status == 400
+
+
+class TestConcurrentInlineRequests:
+    """Threaded clients get, and cache, exactly the serial bits."""
+
+    SEEDS = range(21, 37)
+
+    def _state(self, tmp_path, name):
+        return ServiceState(
+            ServiceConfig(
+                data_dir=str(tmp_path / name),
+                inline_threshold=100_000,
+                threaded_worker=False,
+            )
+        )
+
+    def _body(self, seed):
+        return {
+            "scenario": "antiphishing",
+            "params": {"rounds": 3},
+            "n_receivers": 10_000,
+            "seed": seed,
+        }
+
+    def test_threads_equal_serial_and_cache_only_correct_rows(self, tmp_path):
+        serial_state = self._state(tmp_path, "serial")
+        threaded_state = self._state(tmp_path, "threaded")
+        try:
+            serial_app = create_app(state=serial_state)
+            serial = {}
+            for seed in self.SEEDS:
+                status, payload = wsgi_call(
+                    serial_app, "POST", "/simulate", self._body(seed)
+                )
+                assert status == 200
+                serial[seed] = payload
+
+            app = create_app(state=threaded_state)
+            with concurrent.futures.ThreadPoolExecutor(4) as pool:
+                responses = dict(
+                    zip(
+                        self.SEEDS,
+                        pool.map(
+                            lambda seed: wsgi_call(
+                                app, "POST", "/simulate", self._body(seed)
+                            ),
+                            self.SEEDS,
+                        ),
+                    )
+                )
+
+            def canonical(payload):
+                return resultset_from_dict(payload["resultset"]).canonical_dict()
+
+            for seed in self.SEEDS:
+                status, payload = responses[seed]
+                assert status == 200, payload
+                assert payload["cache"] == {"served": 0, "computed": 1}
+                assert canonical(payload) == canonical(serial[seed])
+
+            def without_clock(row):
+                metrics = {
+                    name: value
+                    for name, value in row["metrics"].items()
+                    if name not in WALL_CLOCK_METRICS
+                }
+                return {**row, "metrics": metrics}
+
+            expected = {
+                tuple(row_cache_key(row)): without_clock(row)
+                for payload in serial.values()
+                for row in payload["resultset"]["rows"]
+            }
+            stream = Path(threaded_state.config.data_dir) / CACHE_FILENAME
+            cached = read_events(stream)
+            assert len(cached) == len(self.SEEDS)
+            for event in cached:
+                key = tuple(event["key"])
+                assert without_clock(event["payload"]) == expected[key]
+        finally:
+            serial_state.close()
+            threaded_state.close()

@@ -1,6 +1,6 @@
 """Counter-based decision streams and in-call chunk parallelism (PR 6).
 
-The ``PhiloxDraws`` source must make every draw O(1)-addressable: any
+The ``CounterDraws`` source must make every draw O(1)-addressable: any
 single receiver×round decision recomputed from its ``(seed, chunk,
 round, stream, receiver)`` coordinates alone must equal the value the
 bulk batch draw produced, bit for bit.  On top of that sit the engine
@@ -8,6 +8,7 @@ contracts: counter-mode batch == counter-mode reference per round, and
 ``chunk_workers=N`` bit-identical to the serial fold for any N.
 """
 
+import concurrent.futures
 import pickle
 
 import numpy as np
@@ -28,7 +29,8 @@ from repro.simulation.rng import (
     NOISE_STREAMS,
     SPOOF_STREAM,
     TRAINED_STREAM,
-    PhiloxDraws,
+    CounterDraws,
+    DrawBuffers,
     trait_streams,
 )
 
@@ -46,6 +48,19 @@ def plan(warning_task):
     return HumanLoopSimulator(SimulationConfig())._plan_for(warning_task)
 
 
+def _spy_chunk_calls(monkeypatch):
+    """Record the ``(buffers, records)`` arguments of every chunk run."""
+    calls = []
+    real = engine_module._simulate_chunk
+
+    def spy(spec, buffers=None, records=None):
+        calls.append((buffers, records))
+        return real(spec, buffers, records)
+
+    monkeypatch.setattr(engine_module, "_simulate_chunk", spy)
+    return calls
+
+
 def _simulator(**overrides) -> HumanLoopSimulator:
     overrides.setdefault("seed", SEED)
     overrides.setdefault("batch_size", 400)
@@ -56,14 +71,14 @@ class TestPointAddressing:
     """Bulk draws vs O(1) single-element recomputation."""
 
     def test_uniform_at_matches_bulk(self):
-        draws = PhiloxDraws(SEED, chunk=3, round_index=2)
+        draws = CounterDraws(SEED, chunk=3, round_index=2)
         for stream in (0, SPOOF_STREAM, DECISION_STREAM_BASE + 5):
             bulk = draws.uniforms(stream, 1_000)
             for index in (0, 1, 2, 3, 4, 5, 57, 511, 999):
                 assert draws.uniform_at(stream, index) == bulk[index]
 
     def test_clipped_normal_at_matches_bulk(self):
-        draws = PhiloxDraws(SEED, chunk=1)
+        draws = CounterDraws(SEED, chunk=1)
         bulk = draws.clipped_normals(NOISE_STREAMS, 0.0, 0.1, -0.2, 0.2, 1_000)
         # Indices straddle the dual-output layout boundary (cos block
         # [0, 500), sin block [500, 1000)).
@@ -74,13 +89,13 @@ class TestPointAddressing:
             )
 
     def test_zero_std_normals_are_constant(self):
-        draws = PhiloxDraws(SEED)
+        draws = CounterDraws(SEED)
         values = draws.clipped_normals(NOISE_STREAMS, 0.4, 0.0, 0.0, 1.0, 10)
         assert np.all(values == 0.4)
         assert draws.clipped_normal_at(NOISE_STREAMS, 0.4, 0.0, 0.0, 1.0, 7, 10) == 0.4
 
     def test_streams_are_distinct(self):
-        draws = PhiloxDraws(SEED)
+        draws = CounterDraws(SEED)
         streams = [trait_streams(0)[0], AGE_STREAMS[0], TRAINED_STREAM,
                    SPOOF_STREAM, DECISION_STREAM_BASE]
         values = [draws.uniforms(stream, 4).tolist() for stream in streams]
@@ -89,31 +104,31 @@ class TestPointAddressing:
                 assert values[i] != values[j]
 
     def test_chunk_and_round_rekey_the_streams(self):
-        base = PhiloxDraws(SEED).uniforms(DECISION_STREAM_BASE, 4).tolist()
-        other_chunk = PhiloxDraws(SEED, chunk=1).uniforms(DECISION_STREAM_BASE, 4)
-        other_round = PhiloxDraws(SEED).for_round(1).uniforms(DECISION_STREAM_BASE, 4)
+        base = CounterDraws(SEED).uniforms(DECISION_STREAM_BASE, 4).tolist()
+        other_chunk = CounterDraws(SEED, chunk=1).uniforms(DECISION_STREAM_BASE, 4)
+        other_round = CounterDraws(SEED).for_round(1).uniforms(DECISION_STREAM_BASE, 4)
         assert other_chunk.tolist() != base
         assert other_round.tolist() != base
         # for_round preserves seed/chunk identity.
-        again = PhiloxDraws(SEED, round_index=1).uniforms(DECISION_STREAM_BASE, 4)
+        again = CounterDraws(SEED, round_index=1).uniforms(DECISION_STREAM_BASE, 4)
         assert other_round.tolist() == again.tolist()
 
     def test_coordinate_validation(self):
         with pytest.raises(SimulationError):
-            PhiloxDraws(-1)
+            CounterDraws(-1)
         with pytest.raises(SimulationError):
-            PhiloxDraws(SEED, chunk=2**24)
+            CounterDraws(SEED, chunk=2**24)
         with pytest.raises(SimulationError):
-            PhiloxDraws(SEED, round_index=2**20)
+            CounterDraws(SEED, round_index=2**20)
         with pytest.raises(SimulationError):
-            PhiloxDraws(SEED).uniforms(2**20, 4)
+            CounterDraws(SEED).uniforms(2**20, 4)
 
 
 class TestSingleDecisionRecompute:
     """Any receiver×round decision reproduced from coordinates alone."""
 
     def test_decision_matrix_cells_recompute(self, plan, population):
-        cell = PhiloxDraws(SEED, chunk=2)
+        cell = CounterDraws(SEED, chunk=2)
         draws = batch_module.draw_batch_counter(plan, population, 300, cell)
         columns = draws.decisions.shape[1]
         for row in (0, 1, 7, 113, 299):
@@ -124,7 +139,7 @@ class TestSingleDecisionRecompute:
                 )
 
     def test_spoof_and_noise_recompute(self, plan, population):
-        cell = PhiloxDraws(SEED, chunk=0)
+        cell = CounterDraws(SEED, chunk=0)
         draws = batch_module.draw_batch_counter(plan, population, 200, cell)
         for row in (0, 5, 42, 199):
             assert cell.uniform_at(SPOOF_STREAM, row) == draws.spoof_uniforms[row]
@@ -136,7 +151,7 @@ class TestSingleDecisionRecompute:
             )
 
     def test_later_round_decisions_recompute(self, plan, population):
-        cell = PhiloxDraws(SEED, chunk=1)
+        cell = CounterDraws(SEED, chunk=1)
         draws = batch_module.draw_batch_counter(plan, population, 150, cell)
         round_cell = cell.for_round(3)
         redrawn = batch_module.redraw_decisions_counter(plan, draws.samples, round_cell)
@@ -150,12 +165,12 @@ class TestSingleDecisionRecompute:
         assert redrawn.decisions[0, 0] != draws.decisions[0, 0]
 
     def test_trait_draws_recompute(self, population):
-        cell = PhiloxDraws(SEED, chunk=4)
+        cell = CounterDraws(SEED, chunk=4)
         samples = population.sample_traits_counter(100, cell)
         trained = cell.uniforms(TRAINED_STREAM, 100) < population.training_fraction
         assert np.array_equal(samples.trained, trained)
         # Chunk identity alone determines the traits.
-        again = population.sample_traits_counter(100, PhiloxDraws(SEED, chunk=4))
+        again = population.sample_traits_counter(100, CounterDraws(SEED, chunk=4))
         for name, values in samples.traits.items():
             assert np.array_equal(values, again.traits[name])
         assert np.array_equal(samples.ages, again.ages)
@@ -243,6 +258,27 @@ class TestChunkWorkerDeterminism:
             assert parallel.chunk_workers == workers
             assert parallel.chunks == serial.chunks == 5
 
+    def test_threads_at_different_worker_counts_equal_serial(
+        self, warning_task, population
+    ):
+        # A call asking for another worker count must not shut down the
+        # pool a concurrent call is still mapping on.
+        serial = _simulator().simulate_task(
+            warning_task, population, n_receivers=2_000, rounds=2
+        )
+
+        def run(workers):
+            return _simulator().simulate_task(
+                warning_task, population, n_receivers=2_000, rounds=2,
+                chunk_workers=workers,
+            )
+
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(run, (2, 3) * 6))
+        for result in results:
+            assert result.tally == serial.tally
+            assert result.funnel.entered == serial.funnel.entered
+
     def test_chunk_workers_validated(self):
         with pytest.raises(SimulationError):
             SimulationConfig(chunk_workers=0)
@@ -255,7 +291,7 @@ class TestChunkWorkerDeterminism:
 
 
 class TestLazyRecords:
-    """Deferred record materialization must be observationally a list."""
+    """Records regenerate from chunk coordinates on first read, once."""
 
     def _result(self, warning_task, population, **kwargs):
         return _simulator().simulate_task(
@@ -263,17 +299,48 @@ class TestLazyRecords:
         )
 
     def test_engine_returns_lazy_records_for_batch_mode(
-        self, warning_task, population
+        self, warning_task, population, monkeypatch
     ):
+        calls = _spy_chunk_calls(monkeypatch)
         result = self._result(warning_task, population)
-        assert isinstance(result.records, batch_module.LazyRecords)
+
+        def building():
+            return [records is not None for _, records in calls]
+
+        # The run itself builds no records; its length needs no re-run.
+        assert building() == [False]
         assert len(result.records) == 300
+        assert building() == [False]
+        first = result.records[0]
+        assert building() == [False, True]
+        # Later reads are served from the regenerated list.
+        assert result.records[0] is first
+        assert len(list(result.records)) == 300
+        assert building() == [False, True]
 
     def test_lazy_equals_eager(self, warning_task, population):
-        lazy = self._result(warning_task, population).records
-        eager = list(self._result(warning_task, population).records)
-        assert lazy == eager
-        assert eager == list(lazy)
+        for mode in ("batch", "reference"):
+            for rng_mode in RNG_MODES:
+                simulator = _simulator(rng_mode=rng_mode)
+                result = simulator.simulate_task(
+                    warning_task, population, n_receivers=600, rounds=2, mode=mode
+                )
+                # The eager build: each chunk run with record building on.
+                eager = []
+                plan = simulator._plan_for(warning_task)
+                for index, offset in enumerate(range(0, 600, 400)):
+                    spec = engine_module._ChunkSpec(
+                        plan=plan, population=population, base_seed=SEED,
+                        chunk_index=index, offset=offset,
+                        size=min(400, 600 - offset), mode=mode,
+                        rng_mode=rng_mode, rounds=2, recovery_rate=0.0,
+                        dismiss_weight=1.0, heed_weight=1.0, want_trace=True,
+                    )
+                    engine_module._simulate_chunk(spec, records=eager)
+                assert len(eager) == 1_200
+                assert result.records == eager
+                assert eager == result.records
+                assert list(result.records) == eager
 
     def test_pickle_produces_plain_list(self, warning_task, population):
         records = self._result(warning_task, population).records
@@ -281,27 +348,24 @@ class TestLazyRecords:
         assert type(revived) is list
         assert revived == list(records)
 
-    def test_absorb_chains_unmaterialized_lists(self, warning_task, population):
-        first = self._result(warning_task, population).records
-        second = self._result(warning_task, population, seed=SEED + 1).records
-        merged = batch_module.LazyRecords()
-        merged.absorb(first)
-        merged.absorb(second)
-        assert len(merged) == 600
-
-    def test_absorb_rejects_materialized_lists(self, warning_task, population):
-        first = self._result(warning_task, population).records
-        len(first)  # forces materialization
-        merged = batch_module.LazyRecords()
-        with pytest.raises(SimulationError):
-            merged.absorb(first)
+    def test_records_beyond_limit_are_never_regenerated(
+        self, warning_task, population, monkeypatch
+    ):
+        calls = _spy_chunk_calls(monkeypatch)
+        result = self._result(warning_task, population, rounds=2)
+        dropped = _simulator(record_limit=100).simulate_task(
+            warning_task, population, n_receivers=300
+        )
+        assert dropped.records == []
+        assert len(result.records) == 600
+        assert all(records is None for _, records in calls)
 
 
 class TestGeneratorCaching:
     """One bit generator per cell; the state-template cache is bit-exact."""
 
     def test_bit_generator_constructed_once_per_cell(self):
-        draws = PhiloxDraws(SEED, chunk=1, round_index=0)
+        draws = CounterDraws(SEED, chunk=1, round_index=0)
         assert draws.bit_generator_constructions == 0
         draws.uniforms(0, 500)
         out = np.empty(300)
@@ -314,7 +378,7 @@ class TestGeneratorCaching:
         assert draws.bit_generator_constructions == 1
 
     def test_sibling_cells_do_not_share_constructions(self):
-        base = PhiloxDraws(SEED, chunk=0, round_index=0)
+        base = CounterDraws(SEED, chunk=0, round_index=0)
         base.uniforms(0, 10)
         successor = base.for_round(1)
         successor.uniforms(0, 10)
@@ -325,7 +389,7 @@ class TestGeneratorCaching:
         """State-template reuse must be invisible: a long-lived cell that
         has served many interleaved queries answers every query exactly
         like a brand-new cell constructed for that one query."""
-        warm = PhiloxDraws(SEED, chunk=2, round_index=1)
+        warm = CounterDraws(SEED, chunk=2, round_index=1)
         streams = (0, SPOOF_STREAM, TRAINED_STREAM, DECISION_STREAM_BASE + 3)
         # Warm the cache with interleaved bulk and point traffic.
         for stream in streams:
@@ -333,16 +397,16 @@ class TestGeneratorCaching:
             warm.uniform_at(stream, 57)
         warm.clipped_normals(NOISE_STREAMS, 0.0, 0.1, -0.2, 0.2, 200)
         for stream in streams:
-            fresh_bulk = PhiloxDraws(SEED, chunk=2, round_index=1)
+            fresh_bulk = CounterDraws(SEED, chunk=2, round_index=1)
             np.testing.assert_array_equal(
                 warm.uniforms(stream, 400), fresh_bulk.uniforms(stream, 400)
             )
             for index in (0, 1, 123, 399):
-                fresh_point = PhiloxDraws(SEED, chunk=2, round_index=1)
+                fresh_point = CounterDraws(SEED, chunk=2, round_index=1)
                 assert warm.uniform_at(stream, index) == fresh_point.uniform_at(
                     stream, index
                 )
-        fresh_normals = PhiloxDraws(SEED, chunk=2, round_index=1)
+        fresh_normals = CounterDraws(SEED, chunk=2, round_index=1)
         np.testing.assert_array_equal(
             warm.clipped_normals(NOISE_STREAMS, 0.0, 0.1, -0.2, 0.2, 200),
             fresh_normals.clipped_normals(NOISE_STREAMS, 0.0, 0.1, -0.2, 0.2, 200),
@@ -363,82 +427,72 @@ class TestDefaultRngMode:
 
 
 class TestZeroCopyDispatch:
-    """Counter-mode parallel workers must not ship record payloads."""
+    """Parallel workers ship integer tallies only, in both rng modes."""
+
+    def _run_spied(self, rng_mode, warning_task, population, monkeypatch):
+        shipped = []
+        real = engine_module._run_chunks_parallel
+
+        def spy(specs, workers):
+            partials = real(specs, workers)
+            shipped.extend(partials)
+            return partials
+
+        monkeypatch.setattr(engine_module, "_run_chunks_parallel", spy)
+        result = _simulator(rng_mode=rng_mode).simulate_task(
+            warning_task, population, n_receivers=1_200, chunk_workers=2
+        )
+        assert len(shipped) == 3
+        for partial in shipped:
+            assert set(vars(partial)) == {"round_tallies", "round_funnels"}
+        serial = _simulator(rng_mode=rng_mode).simulate_task(
+            warning_task, population, n_receivers=1_200
+        )
+        # Records regenerate at home from the same coordinates.
+        assert list(result.records) == list(serial.records)
 
     def test_workers_receive_no_record_buffers(
         self, warning_task, population, monkeypatch
     ):
-        captured = {}
-        real = engine_module._run_chunks_parallel
+        self._run_spied("counter", warning_task, population, monkeypatch)
 
-        def spy(specs, workers):
-            captured["keep_records"] = [spec.keep_records for spec in specs]
-            return real(specs, workers)
-
-        monkeypatch.setattr(engine_module, "_run_chunks_parallel", spy)
-        result = _simulator(rng_mode="counter").simulate_task(
-            warning_task, population, n_receivers=1_200, chunk_workers=2
-        )
-        # Workers got coordinates only; records regenerate lazily at home.
-        assert captured["keep_records"] == [False, False, False]
-        assert isinstance(result.records, batch_module.LazyRecords)
-        serial = _simulator(rng_mode="counter").simulate_task(
-            warning_task, population, n_receivers=1_200
-        )
-        assert list(result.records) == list(serial.records)
-
-    def test_matrix_mode_parallel_keeps_worker_records(
+    def test_matrix_mode_parallel_ships_no_records(
         self, warning_task, population, monkeypatch
     ):
-        captured = {}
-        real = engine_module._run_chunks_parallel
-
-        def spy(specs, workers):
-            captured["keep_records"] = [spec.keep_records for spec in specs]
-            return real(specs, workers)
-
-        monkeypatch.setattr(engine_module, "_run_chunks_parallel", spy)
-        _simulator(rng_mode="matrix").simulate_task(
-            warning_task, population, n_receivers=1_200, chunk_workers=2
-        )
-        # Matrix draws are sequential per chunk; records cannot be
-        # regenerated from coordinates without redoing the whole chunk
-        # draw, so they still ride back from the workers.
-        assert captured["keep_records"] == [True, True, True]
+        # Matrix chunks draw from a stream keyed by (seed, chunk) too, so
+        # records regenerate at home just like counter-mode ones.
+        self._run_spied("matrix", warning_task, population, monkeypatch)
 
 
 class TestBufferReuse:
-    """Opt-in draw-buffer recycling: same values, shared backing memory."""
+    """Draw buffers belong to the simulator: same values, recycled memory."""
+
+    def _block(self, buffers=None):
+        return CounterDraws(SEED, chunk=1).clipped_normal_block(
+            [trait_streams(0), trait_streams(1)],
+            [0.4, 0.6], [0.1, 0.2], [0.0, 0.0], [1.0, 1.0], 501,
+            buffers=buffers,
+        )
 
     def test_reused_block_shares_memory_and_values(self):
-        fresh = PhiloxDraws(SEED, chunk=1).clipped_normal_block(
-            [trait_streams(0), trait_streams(1)],
-            [0.4, 0.6], [0.1, 0.2], [0.0, 0.0], [1.0, 1.0], 501,
-        )
-        first = PhiloxDraws(SEED, chunk=1).clipped_normal_block(
-            [trait_streams(0), trait_streams(1)],
-            [0.4, 0.6], [0.1, 0.2], [0.0, 0.0], [1.0, 1.0], 501,
-            reuse_block=True,
-        )
+        fresh = self._block()
+        buffers = DrawBuffers()
+        first = self._block(buffers)
         np.testing.assert_array_equal(first, fresh)
         first_base = first.base
-        second = PhiloxDraws(SEED, chunk=1).clipped_normal_block(
-            [trait_streams(0), trait_streams(1)],
-            [0.4, 0.6], [0.1, 0.2], [0.0, 0.0], [1.0, 1.0], 501,
-            reuse_block=True,
-        )
+        second = self._block(buffers)
         assert second.base is first_base
         np.testing.assert_array_equal(second, fresh)
 
     def test_fresh_blocks_stay_distinct_by_default(self):
-        cell = PhiloxDraws(SEED, chunk=1)
+        cell = CounterDraws(SEED, chunk=1)
         first = cell.clipped_normals(NOISE_STREAMS, 0.0, 0.1, -0.2, 0.2, 400)
         second = cell.clipped_normals(NOISE_STREAMS, 0.0, 0.1, -0.2, 0.2, 400)
         assert first.base is not second.base
 
     def test_record_dropping_runs_stay_deterministic(self, warning_task, population):
-        # Above the record limit the engine recycles draw buffers chunk
-        # to chunk; two full runs must still agree to the last bit.
+        # The simulator recycles its draw buffers chunk to chunk and call
+        # to call; two full runs must still agree to the last bit.
         simulator = _simulator(rng_mode="counter", record_limit=100)
         first = simulator.simulate_task(warning_task, population, n_receivers=N)
         second = simulator.simulate_task(warning_task, population, n_receivers=N)
@@ -447,15 +501,47 @@ class TestBufferReuse:
         assert first.protection_rate() == second.protection_rate()
 
     def test_kept_records_never_share_reused_buffers(self, warning_task, population):
-        # Below the record limit reuse must stay off: each chunk's
-        # records own their values even after later chunks draw.
+        # Records are built while their round's draws are live, so later
+        # chunks and calls reusing the buffers cannot change them.
         simulator = _simulator(rng_mode="counter")
         result = simulator.simulate_task(warning_task, population, n_receivers=N)
         records = list(result.records)
         assert len(records) == N
+        simulator.simulate_task(warning_task, population, n_receivers=N, seed=SEED + 1)
         again = list(
             _simulator(rng_mode="counter")
             .simulate_task(warning_task, population, n_receivers=N)
             .records
         )
         assert records == again
+
+    def test_consecutive_calls_reuse_the_simulators_buffers(
+        self, warning_task, population, monkeypatch
+    ):
+        seen = _spy_chunk_calls(monkeypatch)
+        simulator = _simulator()
+        simulator.simulate_task(warning_task, population, n_receivers=N)
+        simulator.simulate_task(warning_task, population, n_receivers=N)
+        assert len(seen) == 6
+        assert all(buffers is simulator._buffers for buffers, _ in seen)
+        trait_block = simulator._buffers.array("normals", (22, 400))
+        simulator.simulate_task(warning_task, population, n_receivers=N)
+        assert simulator._buffers.array("normals", (22, 400)) is trait_block
+
+    def test_busy_simulator_gives_a_call_private_buffers(
+        self, warning_task, population, monkeypatch
+    ):
+        seen = _spy_chunk_calls(monkeypatch)
+        simulator = _simulator()
+        expected = simulator.simulate_task(warning_task, population, n_receivers=N)
+        seen.clear()
+        with simulator._draw_buffers() as held:
+            assert held is simulator._buffers
+            busy = simulator.simulate_task(warning_task, population, n_receivers=N)
+        assert len(seen) == 3
+        private = {id(buffers) for buffers, _ in seen}
+        assert len(private) == 1
+        assert all(isinstance(buffers, DrawBuffers) for buffers, _ in seen)
+        assert all(buffers is not simulator._buffers for buffers, _ in seen)
+        assert busy.tally == expected.tally
+        assert list(busy.records) == list(expected.records)
