@@ -1,12 +1,12 @@
 """Benchmark: raw draw-source rates — matrix fills vs counter streams.
 
-Times the two decision-randomness sources the engine can run on, below
-the engine (no evaluation, no records): the sequential **matrix** path
-(:func:`repro.simulation.batch.draw_batch` over ``SimulationRng``'s
-ziggurat/uniform fills) against the **counter** path
-(:func:`~repro.simulation.batch.draw_batch_counter` over keyed
-``CounterDraws`` streams), at 1k and 100k receivers, interleaved
-best-of-5 so machine noise hits both sides equally.  Also records what
+Times the two draw sources the engine can run on, below the engine (no
+evaluation, no records), both through the engine's one draw function
+(:func:`repro.simulation.batch.draw_batch_counter`): the **matrix**
+replay adapter (``MatrixDraws``, the sequential ziggurat/uniform fills)
+against the **counter** streams (keyed ``CounterDraws``), at 1k and
+100k receivers, interleaved best-of-5 so machine noise hits both sides
+equally.  Also records what
 the matrix path cannot offer at any price: O(1) point addressing — the
 per-query latency of :meth:`CounterDraws.uniform_at` and
 :meth:`CounterDraws.clipped_normal_at`, which must stay flat as the
@@ -47,7 +47,7 @@ import numpy as np
 from _timing import utc_timestamp
 from repro.simulation import batch as batch_module
 from repro.simulation.engine import HumanLoopSimulator, SimulationConfig
-from repro.simulation.rng import NOISE_STREAMS, CounterDraws, SimulationRng
+from repro.simulation.rng import NOISE_STREAMS, CounterDraws, MatrixDraws
 from repro.systems import get_scenario
 
 SEED = 20080124
@@ -73,7 +73,7 @@ def _interleaved_fill_times(plan, population, count) -> Dict[str, float]:
     best = {"matrix": float("inf"), "counter": float("inf")}
     for _ in range(REPEATS):
         start = time.perf_counter()
-        batch_module.draw_batch(plan, population, count, SimulationRng(SEED))
+        batch_module.draw_batch_counter(plan, population, count, MatrixDraws(SEED))
         best["matrix"] = min(best["matrix"], time.perf_counter() - start)
         start = time.perf_counter()
         batch_module.draw_batch_counter(plan, population, count, CounterDraws(SEED))
@@ -113,7 +113,7 @@ def measure_streams() -> Dict[str, object]:
         plan, population, 1_000, CounterDraws(SEED)
     )
     np.testing.assert_array_equal(first.decisions, again.decisions)
-    batch_module.draw_batch(plan, population, 1_000, SimulationRng(SEED))
+    batch_module.draw_batch_counter(plan, population, 1_000, MatrixDraws(SEED))
 
     fills: List[Dict[str, float]] = []
     points: List[Dict[str, float]] = []
@@ -147,6 +147,7 @@ def measure_streams() -> Dict[str, object]:
         "task": TASK,
         "seed": SEED,
         "repeats": REPEATS,
+        "cpu_count": os.cpu_count(),
         "recorded_at": utc_timestamp(),
         "fills": fills,
         "point_addressing": points,

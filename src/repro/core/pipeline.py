@@ -22,17 +22,16 @@ and answers every pipeline question both layers ask:
   communications fail safe, passive ones leave the receiver exposed,
   spoofed indicators defeat the receiver outright), and
 * **one traversal kernel** (:meth:`PipelinePlan.walk_batch`) that
-  realizes receiver passes at any width.  The kernel is polymorphic over
-  a :class:`DecisionSource`: the batch simulator feeds it a pre-drawn
-  uniform matrix (:class:`MatrixDecisions`) and whole populations advance
-  per stage; the scalar :meth:`PipelinePlan.walk` drives the *same*
-  kernel at width 1 through :class:`CallbackDecisions`, which consults a
-  lazy decision callback only for checkpoints the receiver actually
-  reaches.  Both paths therefore share stage ordering, gate sequencing,
-  and failure semantics by construction, and both emit the per-stage
-  outcome data behind the funnel metrics — as a scalar
-  :class:`~repro.core.stages.StageTrace` (via :func:`walk_from_row`) or a
-  vectorized :class:`~repro.core.stages.StageTraceBatch`.
+  realizes receiver passes at any width from a pre-drawn uniform matrix
+  laid out by :func:`decision_columns`: checkpoint ``k`` of every
+  receiver is decided by ``decisions[:, k] < p``.  The simulator's batch
+  mode runs it over whole chunks and its reference mode over width-1 row
+  slices of the same matrix, so both share stage ordering, gate
+  sequencing and failure semantics by construction.  The kernel emits
+  the per-stage outcome data behind the funnel metrics as a vectorized
+  :class:`~repro.core.stages.StageTraceBatch` or its counts, and any lane
+  reads back as a scalar :class:`~repro.core.stages.StageTrace` via
+  :func:`walk_from_row`.
 
 The calibration argument is duck-typed (anything that provides
 ``apply_stage`` / ``apply_intention`` / ``apply_capability`` and the
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -80,8 +79,6 @@ __all__ = [
     "failure_outcome",
     "failure_needs_override",
     "decision_columns",
-    "MatrixDecisions",
-    "CallbackDecisions",
     "BatchWalk",
     "ReceiverTerms",
     "PipelineWalk",
@@ -180,13 +177,6 @@ class PipelineWalk:
     note: str = ""
 
 
-#: A decision source for :meth:`PipelinePlan.walk`: called with the kind of
-#: decision ("stage", "override", "intention", "capability", "behavior",
-#: "self_initiated"), the stage involved (or ``None``), and the modeled
-#: success probability; returns the realized boolean.
-DecisionFn = Callable[[str, Optional[Stage], float], bool]
-
-
 def decision_columns(plan: "PipelinePlan") -> Dict[str, int]:
     """Column index of every decision in a pre-drawn uniform matrix.
 
@@ -207,80 +197,11 @@ def decision_columns(plan: "PipelinePlan") -> Dict[str, int]:
     return columns
 
 
-class DecisionSource(Protocol):
-    """Structural type of the kernel's decision suppliers.
-
-    Anything with this ``decide`` shape can drive :meth:`PipelinePlan._traverse`
-    — the pre-drawn matrix (filled from the sequential or the keyed
-    counter streams) and the lazy scalar callback both satisfy it.
-    """
-
-    def decide(
-        self,
-        kind: str,
-        stage: Optional[Stage],
-        probability: FloatOrArray,
-        mask: np.ndarray,
-    ) -> np.ndarray:
-        ...
-
-
-class MatrixDecisions:
-    """Decision source backed by a pre-drawn uniform matrix.
-
-    Decisions are positional — column ``k`` of :func:`decision_columns`
-    realizes checkpoint ``k`` for every receiver at once — so the
-    ``mask`` of lanes that actually reached a checkpoint is ignored:
-    values of unreached lanes are computed and discarded, never read.
-    """
-
-    def __init__(self, decisions: np.ndarray, columns: Dict[str, int]) -> None:
-        self._decisions = decisions
-        self._columns = columns
-
-    def decide(
-        self,
-        kind: str,
-        stage: Optional[Stage],
-        probability: FloatOrArray,
-        mask: np.ndarray,
-    ) -> np.ndarray:
-        column = self._columns[f"stage:{stage.value}" if kind == "stage" else kind]
-        return self._decisions[:, column] < probability
-
-
-class CallbackDecisions:
-    """Width-1 decision source over a lazy scalar :data:`DecisionFn`.
-
-    Consults the callback *only* when the single lane actually reached
-    the checkpoint, so callers that draw randomness on demand (e.g.
-    :meth:`repro.simulation.engine.HumanLoopSimulator.simulate_receiver`)
-    consume exactly one draw per evaluated checkpoint, in pipeline order —
-    the historical scalar-walk contract.
-    """
-
-    def __init__(self, decide: DecisionFn) -> None:
-        self._decide = decide
-
-    def decide(
-        self,
-        kind: str,
-        stage: Optional[Stage],
-        probability: FloatOrArray,
-        mask: np.ndarray,
-    ) -> np.ndarray:
-        if not bool(np.all(mask)):
-            return np.zeros(1, dtype=bool)
-        # The modeled probability may arrive as a float or a width-1 array;
-        # the callback contract is a plain float either way.
-        return np.array([bool(self._decide(kind, stage, float(np.ravel(probability)[0])))])
-
-
 @dataclasses.dataclass(frozen=True)
 class BatchWalk:
     """Realized traversal of one batch as a struct of arrays.
 
-    The traversal kernel's result at any width (the scalar walk is the
+    The traversal kernel's result at any width (reference mode runs the
     width-1 case).  ``outcome_codes`` indexes
     :data:`~repro.core.behavior.OUTCOME_ORDER`; ``failed_stage_index``
     holds the :data:`~repro.core.stages.STAGE_ORDER` index of the first
@@ -346,9 +267,8 @@ def walk_from_row(outcomes: BatchWalk, row: int) -> PipelineWalk:
     """Materialize one lane of a :class:`BatchWalk` as a scalar walk.
 
     The single source of the scalar trace, note strings, and failure
-    flags: the scalar :meth:`PipelinePlan.walk` and the simulation
-    layer's record materialization both go through here, so the two
-    presentations cannot drift apart.
+    flags: the simulation layer builds every per-receiver record through
+    here, in both execution modes.
     """
     plan = outcomes.plan
     outcome = OUTCOME_ORDER[int(outcomes.outcome_codes[row])]
@@ -646,8 +566,7 @@ class PipelinePlan:
     def _traverse(
         self,
         receivers: ReceiverLike,
-        source: "DecisionSource",
-        count: int,
+        decisions: np.ndarray,
         spoofed: np.ndarray,
         noise: FloatOrArray,
         exposures: Optional[FloatOrArray] = None,
@@ -657,15 +576,15 @@ class PipelinePlan:
     ) -> BatchWalk:
         """The single stage-traversal kernel, at any width.
 
-        ``receivers`` is a scalar :class:`~repro.core.receiver.HumanReceiver`
-        or a batch receiver view (the probability model is polymorphic);
-        ``source`` supplies realized decisions per checkpoint (see
-        :class:`MatrixDecisions` / :class:`CallbackDecisions`); ``spoofed``
-        is the per-lane attacker mask.  The stage loop exits as soon as no
-        lane is still alive — at width 1 that reproduces the historical
-        early-exit scalar walk exactly (a receiver who never notices a
-        warning never evaluates comprehension); at width N it simply skips
-        model calls no lane would read.  ``collect_trace`` emits the full
+        ``receivers`` is a batch receiver view (the probability model is
+        polymorphic over floats and arrays); ``decisions`` the pre-drawn
+        uniform matrix, whose :func:`decision_columns` column decides each
+        checkpoint for every lane at once (values of lanes that never
+        reach a checkpoint are compared and discarded, never read);
+        ``spoofed`` is the per-lane attacker mask.  The stage loop exits as
+        soon as no lane is still alive — a receiver who never notices a
+        warning never evaluates comprehension, and at width N the kernel
+        skips model calls no lane would read.  ``collect_trace`` emits the full
         per-receiver :class:`StageTraceBatch`; ``collect_counts`` the
         counts-only :class:`FunnelCounts` reduction, folded from masks the
         traversal already holds (no per-receiver checkpoint matrices).
@@ -673,16 +592,16 @@ class PipelinePlan:
         terms (:meth:`receiver_terms`); without them each term is computed
         when the traversal first needs it.
         """
+        count = int(decisions.shape[0])
+        columns = self._decision_columns()
         false = np.zeros(count, dtype=bool)
 
         communication = self.task.communication
         if communication is None:
             ones = np.ones(count, dtype=bool)
-            acted = np.asarray(
-                source.decide(
-                    "self_initiated", None, self.self_initiated_probability(receivers), ones
-                ),
-                dtype=bool,
+            acted = (
+                decisions[:, columns["self_initiated"]]
+                < self.self_initiated_probability(receivers)
             )
             trace = None
             if collect_trace:
@@ -743,9 +662,7 @@ class PipelinePlan:
                 )
             else:
                 probability = self._calibrated_stage(stage, terms.stage_raw[stage], noise)
-            ok = np.asarray(
-                source.decide("stage", stage, probability, alive), dtype=bool
-            )
+            ok = decisions[:, columns[f"stage:{stage.value}"]] < probability
             stage_probabilities[:, column] = probability
             stage_success[:, column] = ok
             newly_failed = alive & ~ok
@@ -756,26 +673,11 @@ class PipelinePlan:
 
         stage_fail = live & (first_failed_slot < stage_count)
         override_mask = stage_fail & needs_override[first_failed_slot]
-        if override_mask.any():
-            # At width 1 the failing stage is unambiguous; pass it through so
-            # the scalar DecisionFn contract (decide("override", <failed
-            # stage>, p)) survives the kernel unification.  Wider batches
-            # have one override column for many stages, so the source gets
-            # None there (MatrixDecisions never reads it for overrides).
-            override_stage = (
-                self.stages[int(first_failed_slot[0])] if count == 1 else None
-            )
-            overrode = np.asarray(
-                source.decide(
-                    "override",
-                    override_stage,
-                    self.override_given_misunderstanding,
-                    override_mask,
-                ),
-                dtype=bool,
-            )
-        else:
-            overrode = false
+        overrode = (
+            decisions[:, columns["override"]] < self.override_given_misunderstanding
+            if override_mask.any()
+            else false
+        )
         fail_codes = np.where(
             needs_override[first_failed_slot] & overrode,
             _FAILURE_CODE,
@@ -787,18 +689,13 @@ class PipelinePlan:
         # Probabilities are passed inline, never held in locals, so each
         # array is freed once its decision is drawn.
         intention_ok = (
-            np.asarray(
-                source.decide(
-                    "intention",
-                    None,
-                    self.intention_probability(receivers, noise)
-                    if terms is None
-                    else self._calibrated_intention(
-                        probabilities.clamp_probability(terms.intention_raw + noise)
-                    ),
-                    passed_stages,
-                ),
-                dtype=bool,
+            decisions[:, columns["intention"]]
+            < (
+                self.intention_probability(receivers, noise)
+                if terms is None
+                else self._calibrated_intention(
+                    probabilities.clamp_probability(terms.intention_raw + noise)
+                )
             )
             if passed_stages.any()
             else false
@@ -806,15 +703,8 @@ class PipelinePlan:
         intention_failed = passed_stages & ~intention_ok
         capability_mask = passed_stages & intention_ok
         capability_ok = (
-            np.asarray(
-                source.decide(
-                    "capability",
-                    None,
-                    self.capability_probability(receivers) if terms is None else terms.capability,
-                    capability_mask,
-                ),
-                dtype=bool,
-            )
+            decisions[:, columns["capability"]]
+            < (self.capability_probability(receivers) if terms is None else terms.capability)
             if capability_mask.any()
             else false
         )
@@ -828,12 +718,7 @@ class PipelinePlan:
                 ),
                 (count,),
             )
-            behavior_ok = np.asarray(
-                source.decide(
-                    "behavior", Stage.BEHAVIOR, behavior_probability, behavior_mask
-                ),
-                dtype=bool,
-            )
+            behavior_ok = decisions[:, columns["behavior"]] < behavior_probability
         else:
             behavior_probability = np.zeros(count)
             behavior_ok = false
@@ -961,14 +846,11 @@ class PipelinePlan:
         :meth:`receiver_terms`, for callers that walk the same receivers
         through several hazard encounters.
         """
-        count = int(decisions.shape[0])
         if spoofed is None:
-            spoofed = np.zeros(count, dtype=bool)
-        source = MatrixDecisions(decisions, self._decision_columns())
+            spoofed = np.zeros(int(decisions.shape[0]), dtype=bool)
         return self._traverse(
             receivers,
-            source,
-            count,
+            decisions,
             np.asarray(spoofed, dtype=bool),
             noise,
             exposures=exposures,
@@ -976,31 +858,6 @@ class PipelinePlan:
             collect_counts=trace == "counts",
             terms=terms,
         )
-
-    def walk(self, receiver: ReceiverLike, decide: DecisionFn, noise: float = 0.0,
-             spoofed: bool = False, exposures: Optional[float] = None) -> PipelineWalk:
-        """Realize one receiver's pass through the pipeline.
-
-        The width-1 case of the shared traversal kernel: ``decide``
-        supplies every stochastic decision (consulted lazily, only for
-        checkpoints the receiver actually reaches); ``noise`` is the
-        receiver's pre-drawn perception noise and ``spoofed`` whether the
-        attacker already defeated the indicator.  ``exposures`` is this
-        receiver's current habituation exposure count (``None`` keeps the
-        communication's baked-in count).  The walk stops at the first
-        failure, mirroring the way a receiver who never notices a warning
-        can never comprehend it.
-        """
-        result = self._traverse(
-            receiver,
-            CallbackDecisions(decide),
-            1,
-            np.array([bool(spoofed)]),
-            noise,
-            exposures=exposures,
-            collect_trace=False,
-        )
-        return walk_from_row(result, 0)
 
 
 def build_pipeline(

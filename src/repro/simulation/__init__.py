@@ -9,11 +9,17 @@ Layering (shared with the analytic path in :mod:`repro.core`):
 
 * :mod:`repro.core.pipeline` owns the stage pipeline itself — applicable
   stages, gate ordering, failure-outcome semantics, and the single
-  traversal kernel both execution modes (and the scalar walk) drive.
+  traversal kernel both execution modes drive over a pre-drawn decision
+  matrix.
+* :mod:`repro.simulation.rng` owns every generator: the
+  :class:`~repro.simulation.rng.DrawSource` interface the draw functions
+  call, the counter streams the engine draws from, and the matrix replay
+  adapter that keeps archived rows reproducible.
 * :mod:`repro.simulation.population` describes receiver populations and
   samples them either one receiver at a time or as trait arrays.
-* :mod:`repro.simulation.batch` advances whole trait batches through the
-  pipeline vectorized (one model call per stage per batch).
+* :mod:`repro.simulation.batch` draws whole batches through one draw
+  path and advances them through the pipeline vectorized (one model call
+  per stage per batch).
 * :mod:`repro.simulation.engine` orchestrates both execution modes —
   ``"batch"`` for population-scale runs and ``"reference"`` (the same
   kernel at width 1, each receiver in isolation) — over identical

@@ -9,21 +9,24 @@ fed with:
   :class:`~repro.core.receiver.HumanReceiver` attribute tree, with numpy
   arrays in place of floats (the probability model in
   :mod:`repro.core.probabilities` is polymorphic over both),
-* :class:`DrawBatch` / :func:`draw_batch` / :func:`redraw_decisions` — all
-  randomness for one batch, drawn up front in the fixed layout of
-  :func:`repro.core.pipeline.decision_columns`, and
+* :class:`DrawBatch` / :func:`draw_batch_counter` /
+  :func:`redraw_decisions_counter` — all randomness for one batch, drawn
+  up front in the fixed layout of
+  :func:`repro.core.pipeline.decision_columns` through any
+  :class:`~repro.simulation.rng.DrawSource`: the counter streams, or the
+  matrix replay adapter (the ``_counter`` suffix is historical), and
 * :func:`evaluate_batch` / :func:`records_from_batch` — thin adapters that
   run the kernel over a draw batch and materialize per-receiver records.
 
 The draw layout is shared with the engine's ``reference`` mode, which runs
 the *same* kernel one row at a time (width 1) over row slices of the same
-matrices (:meth:`DrawBatch.row`) — that is what makes the batch/reference
+arrays (:meth:`DrawBatch.row`) — that is what makes the batch/reference
 equivalence regression test exact rather than statistical.
 
-The module holds no state between calls: the counter draws recycle memory
-only through a :class:`~repro.simulation.rng.DrawBuffers` their caller
-passes in (the engine passes its simulator's), and records are built
-straight from a batch while its draws are still live.
+The module holds no state between calls: the draws recycle memory only
+through a :class:`~repro.simulation.rng.DrawBuffers` their caller passes
+in (the engine passes its simulator's), and records are built straight
+from a batch while its draws are still live.
 """
 
 from __future__ import annotations
@@ -43,22 +46,12 @@ from ..core.pipeline import (
 )
 from .metrics import ReceiverRecord
 from .population import PopulationSpec, TraitSamples
-from .rng import (
-    DECISION_STREAM_BASE,
-    NOISE_STREAMS,
-    SPOOF_STREAM,
-    CounterDraws,
-    DrawBuffers,
-    SimulationRng,
-    empty_array,
-)
+from .rng import NOISE_STREAMS, SPOOF_STREAM, DrawBuffers, DrawSource
 
 __all__ = [
     "BatchReceivers",
     "DrawBatch",
     "decision_columns",
-    "draw_batch",
-    "redraw_decisions",
     "draw_batch_counter",
     "redraw_decisions_counter",
     "evaluate_batch",
@@ -257,62 +250,22 @@ class DrawBatch:
         )
 
 
-def draw_batch(
-    plan: PipelinePlan,
-    population: PopulationSpec,
-    count: int,
-    rng: SimulationRng,
-) -> DrawBatch:
-    """Draw the traits and decision uniforms for ``count`` receivers."""
-    samples = population.sample_traits(count, rng)
-    return redraw_decisions(plan, samples, rng)
-
-
-def redraw_decisions(
-    plan: PipelinePlan,
-    samples: TraitSamples,
-    rng: SimulationRng,
-) -> DrawBatch:
-    """Fresh encounter randomness (spoof, noise, decisions) over fixed traits.
-
-    The multi-round engine keeps one trait draw per chunk and calls this
-    once per subsequent round: the *same* receivers face a new hazard
-    encounter with fresh stochastic conditions.  :func:`draw_batch` is the
-    round-zero case (traits drawn from the same stream immediately before),
-    so a single-round run consumes exactly the historical draw layout.
-    """
-    count = samples.count
-    if not plan.has_communication:
-        return DrawBatch(
-            samples=samples,
-            spoof_uniforms=None,
-            noise=np.zeros(count),
-            decisions=rng.uniform_matrix(count, 1),
-        )
-    spoof_uniforms = rng.uniform_array(count)
-    noise = rng.truncated_normal_array(0.0, plan.user_noise_std, -0.2, 0.2, count)
-    decisions = rng.uniform_matrix(count, len(plan.stages) + 4)
-    return DrawBatch(
-        samples=samples, spoof_uniforms=spoof_uniforms, noise=noise, decisions=decisions
-    )
-
-
 def draw_batch_counter(
     plan: PipelinePlan,
     population: PopulationSpec,
     count: int,
-    draws: CounterDraws,
+    draws: DrawSource,
     buffers: Optional[DrawBuffers] = None,
 ) -> DrawBatch:
-    """Counter-mode :func:`draw_batch`: traits and decisions from keyed streams.
+    """Draw the traits and the round's encounter randomness for ``count`` receivers.
 
-    Produces the same :class:`DrawBatch` structure the matrix path does
-    (so batch evaluation, reference-mode row slicing, and record
-    materialization are shared verbatim), but every array is the prefix of
-    a dedicated counter stream — any single value is recomputable in O(1)
-    through the same :class:`~repro.simulation.rng.CounterDraws` cell.
-    Traits always come from the chunk's round-0 cell (they are drawn once
-    per chunk, like the matrix path's chunk stream).
+    ``draws`` is the chunk's round-0 cell of any
+    :class:`~repro.simulation.rng.DrawSource`.  With
+    :class:`~repro.simulation.rng.CounterDraws` every array is the prefix
+    of a dedicated keyed stream, so any single value is recomputable in
+    O(1) through the same cell; with
+    :class:`~repro.simulation.rng.MatrixDraws` the calls below consume
+    the sequential chunk stream in the historical matrix order.
 
     With ``buffers`` the trait block and the decision matrix recycle the
     memory of the previous same-shape draw from those buffers — several
@@ -320,49 +273,37 @@ def draw_batch_counter(
     so the batch is valid only until the next draw from them.  Values
     are identical either way.
     """
-    samples = population.sample_traits_counter(
-        count,
-        draws if draws.round_index == 0 else draws.for_round(0),
-        buffers=buffers,
-    )
+    samples = population.sample_traits(count, draws, buffers=buffers)
     return redraw_decisions_counter(plan, samples, draws, buffers=buffers)
 
 
 def redraw_decisions_counter(
     plan: PipelinePlan,
     samples: TraitSamples,
-    draws: CounterDraws,
+    draws: DrawSource,
     buffers: Optional[DrawBuffers] = None,
 ) -> DrawBatch:
-    """Counter-mode :func:`redraw_decisions` for one (seed, chunk, round) cell.
+    """Fresh encounter randomness (spoof, noise, decisions) over fixed traits.
 
-    Spoof uniforms, perception noise, and each decision column read their
+    The multi-round engine keeps one trait draw per chunk and calls this
+    once per later round with that round's cell of any
+    :class:`~repro.simulation.rng.DrawSource`: the *same* receivers face a
+    new hazard encounter with fresh stochastic conditions.  Counter cells
+    give spoof uniforms, perception noise and each decision column their
     own streams, so a round's encounter randomness never depends on
-    earlier rounds or on sibling chunks.  The decision matrix is laid out
-    column-major: each column is one stream's contiguous prefix, filled in
-    place, and the traversal kernel's per-stage column reads
-    (``decisions[:, column]``) stay contiguous too.  ``buffers`` works as
-    in :func:`draw_batch_counter`.
+    earlier rounds or on sibling chunks.  ``buffers`` works as in
+    :func:`draw_batch_counter`.
     """
     count = samples.count
-    if not plan.has_communication:
-        decisions = empty_array(buffers, "decisions", (count, 1), order="F")
-        draws.fill_uniforms(DECISION_STREAM_BASE, decisions[:, 0])
-        return DrawBatch(
-            samples=samples,
-            spoof_uniforms=None,
-            noise=np.zeros(count),
-            decisions=decisions,
+    if plan.has_communication:
+        spoof_uniforms = draws.uniforms(SPOOF_STREAM, count)
+        noise = draws.clipped_normals(
+            NOISE_STREAMS, 0.0, plan.user_noise_std, -0.2, 0.2, count,
+            buffers=buffers,
         )
-    spoof_uniforms = draws.uniforms(SPOOF_STREAM, count)
-    noise = draws.clipped_normals(
-        NOISE_STREAMS, 0.0, plan.user_noise_std, -0.2, 0.2, count,
-        buffers=buffers,
-    )
-    columns = len(plan.stages) + 4
-    decisions = empty_array(buffers, "decisions", (count, columns), order="F")
-    for column in range(columns):
-        draws.fill_uniforms(DECISION_STREAM_BASE + column, decisions[:, column])
+    else:
+        spoof_uniforms, noise = None, np.zeros(count)
+    decisions = draws.decision_matrix(count, len(decision_columns(plan)), buffers)
     return DrawBatch(
         samples=samples, spoof_uniforms=spoof_uniforms, noise=noise, decisions=decisions
     )

@@ -10,7 +10,12 @@ rescaled by a :class:`~repro.simulation.calibration.StageCalibration`),
 and records where each receiver failed and whether the hazard was
 ultimately avoided.
 
-Two execution modes traverse the identical pipeline over identical
+Each chunk draws its randomness through one
+:class:`~repro.simulation.rng.DrawSource`, picked once from
+:data:`~repro.simulation.rng.DRAW_SOURCES` by ``rng_mode``: the counter
+streams, or the matrix replay adapter that keeps archived rows
+reproducible.  There is one draw path and one decision path; two
+execution modes traverse the identical pipeline over identical
 pre-drawn randomness:
 
 * ``mode="batch"`` (the default) — receivers advance in numpy batches:
@@ -24,19 +29,18 @@ pre-drawn randomness:
   Counter draws recycle draw buffers owned by the
   :class:`HumanLoopSimulator`; the module keeps no draw state of its own.
 * ``mode="reference"`` — the same traversal kernel at width 1: each row of
-  the pre-drawn matrices is sliced into a one-receiver batch
+  the pre-drawn arrays is sliced into a one-receiver batch
   (:meth:`~repro.simulation.batch.DrawBatch.row`) and evaluated
   independently, so the per-receiver outcomes must match the batch mode
-  exactly (the equivalence regression test relies on this).  The lazy
-  scalar walk survives as :meth:`HumanLoopSimulator.simulate_receiver`,
-  which drives the identical kernel through a per-decision callback.
+  exactly (the equivalence regression test relies on this).
 
 **Multi-round simulation** (``rounds > 1``) advances the *same* pre-drawn
 population through repeated hazard encounters, folding the habituation
 dynamics of Section 2.3.1 into the engine: each chunk draws its traits
 once, then per round draws fresh encounter randomness
-(:func:`repro.simulation.batch.redraw_decisions`) and threads a vectorized
-per-receiver exposure array through the attention-switch stage.  Since
+(:func:`repro.simulation.batch.redraw_decisions_counter`) and threads a
+vectorized per-receiver exposure array through the attention-switch
+stage.  Since
 only exposure and noise change between rounds, a batch chunk computes
 every other stage term once
 (:meth:`~repro.core.pipeline.PipelinePlan.receiver_terms`) and each round
@@ -97,7 +101,6 @@ import numpy as np
 from ..core.exceptions import SimulationError
 from ..core.impediments import Environment
 from ..core.pipeline import PipelinePlan, build_pipeline
-from ..core.receiver import HumanReceiver
 from ..core.task import HumanSecurityTask
 from . import batch as batch_module
 from . import habituation as habituation_module
@@ -111,7 +114,7 @@ from .metrics import (
     SimulationTally,
 )
 from .population import PopulationSpec
-from .rng import CounterDraws, DrawBuffers, SimulationRng
+from .rng import DRAW_SOURCES, DrawBuffers, DrawSource
 
 __all__ = [
     "SimulationConfig",
@@ -134,18 +137,19 @@ SIMULATION_MODES = ("batch", "reference")
 #: :func:`repro.io.json_io.simulation_result_to_dict`'s provenance block.
 NON_PROVENANCE_CONFIG_FIELDS = ("attacker", "record_limit")
 
-#: Supported decision-stream sources.  ``"counter"`` — keyed counter
-#: streams (:class:`~repro.simulation.rng.CounterDraws`), where every
-#: draw is O(1)-addressable by (seed, chunk, round, stream, receiver);
-#: the engine default since it overtook the matrix path
-#: (``BENCH_engine.json``).  ``"matrix"`` — the sequential
-#: :class:`~repro.simulation.rng.SimulationRng` draw layout, kept fully
-#: runnable so persisted results recorded under it stay replayable
+#: Supported decision-stream sources, the keys of
+#: :data:`~repro.simulation.rng.DRAW_SOURCES`.  ``"counter"`` — keyed
+#: counter streams (:class:`~repro.simulation.rng.CounterDraws`), where
+#: every draw is O(1)-addressable by (seed, chunk, round, stream,
+#: receiver); the engine default since it overtook the matrix path
+#: (``BENCH_engine.json``).  ``"matrix"`` — the sequential layout,
+#: replayed through :class:`~repro.simulation.rng.MatrixDraws` so
+#: persisted results recorded under it stay reproducible
 #: (``reproduce_row`` pins the mode from provenance).  The two sources
 #: draw different floats for the same seed, so the mode is part of a
 #: run's reproducibility provenance; within either mode, batch and
 #: reference execution stay bit-identical.
-RNG_MODES = ("matrix", "counter")
+RNG_MODES = tuple(DRAW_SOURCES)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -241,6 +245,10 @@ class _ChunkSpec:
     heed_weight: float
     want_trace: bool
 
+    def draws(self) -> DrawSource:
+        """The chunk's round-0 cell of its rng mode's draw source."""
+        return DRAW_SOURCES[self.rng_mode](self.base_seed, self.chunk_index)
+
 
 @dataclasses.dataclass
 class _ChunkPartial:
@@ -266,9 +274,9 @@ def _simulate_chunk(
     path, the in-call multicore path (``chunk_workers > 1``) and record
     regeneration.  Integer tallies merged in chunk order reproduce the
     streaming serial fold bit for bit.  Counter draws recycle ``buffers``
-    from round to round (fresh arrays without them).  With a ``records``
-    list, each round's records are appended to it while that round's
-    draws are still live.
+    from round to round (fresh arrays without them; the matrix replay
+    adapter ignores them).  With a ``records`` list, each round's records
+    are appended to it while that round's draws are still live.
     """
     plan = spec.plan
     partial = _ChunkPartial(
@@ -277,14 +285,10 @@ def _simulate_chunk(
             [FunnelTally() for _ in range(spec.rounds)] if spec.want_trace else []
         ),
     )
-    if spec.rng_mode == "counter":
-        cell = CounterDraws(spec.base_seed, spec.chunk_index)
-        draws = batch_module.draw_batch_counter(
-            plan, spec.population, spec.size, cell, buffers=buffers
-        )
-    else:
-        chunk_rng = SimulationRng(spec.base_seed).spawn(spec.chunk_index)
-        draws = batch_module.draw_batch(plan, spec.population, spec.size, chunk_rng)
+    cell = spec.draws()
+    draws = batch_module.draw_batch_counter(
+        plan, spec.population, spec.size, cell, buffers=buffers
+    )
     # Single-shot runs never read the exposure state; keep that hot path
     # allocation-free.
     exposures = (
@@ -303,19 +307,12 @@ def _simulate_chunk(
     )
     for round_index in range(spec.rounds):
         if round_index:
-            # Same receivers, fresh encounter randomness: the counter
-            # source re-keys the cell for the round, the matrix source
-            # spawns a round stream off the chunk stream (round 0 consumed
-            # the chunk stream itself, preserving the single-shot draw
-            # layout exactly).
-            if spec.rng_mode == "counter":
-                draws = batch_module.redraw_decisions_counter(
-                    plan, draws.samples, cell.for_round(round_index), buffers=buffers
-                )
-            else:
-                draws = batch_module.redraw_decisions(
-                    plan, draws.samples, chunk_rng.spawn(round_index)
-                )
+            # Same receivers, fresh encounter randomness from the round's
+            # cell (round 0 drew from the chunk cell itself, preserving
+            # the single-shot draw layout exactly).
+            draws = batch_module.redraw_decisions_counter(
+                plan, draws.samples, cell.for_round(round_index), buffers=buffers
+            )
         # Round 0 keeps the communication's scalar baked-in count (the
         # single-shot reading); later rounds thread the evolved
         # per-receiver array.
@@ -635,35 +632,6 @@ class HumanLoopSimulator:
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
-    def simulate_receiver(
-        self,
-        task: HumanSecurityTask,
-        receiver: HumanReceiver,
-        rng: SimulationRng,
-        index: int = 0,
-    ) -> ReceiverRecord:
-        """Simulate a single receiver's encounter with the task.
-
-        Draws flow through ``rng`` one decision at a time in pipeline
-        order (spoof, noise, stages, gates), exactly as the original
-        per-receiver engine did.
-        """
-        plan = self._plan_for(task)
-        spoofed = False
-        noise = 0.0
-        if plan.has_communication:
-            spoofed = rng.bernoulli(plan.spoof_probability)
-            if not spoofed:
-                noise = rng.truncated_normal(0.0, plan.user_noise_std, -0.2, 0.2)
-
-        walk = plan.walk(
-            receiver,
-            decide=lambda kind, stage, probability: rng.bernoulli(float(probability)),
-            noise=noise,
-            spoofed=spoofed,
-        )
-        return self._record_from_walk(walk, index=index, receiver_name=receiver.name)
-
     # -- internals ----------------------------------------------------------------
 
     @contextlib.contextmanager
@@ -688,21 +656,3 @@ class HumanLoopSimulator:
         if self.config.attacker is None:
             return environment
         return self.config.attacker.apply_to(environment)
-
-    @staticmethod
-    def _record_from_walk(
-        walk, index: int, receiver_name: str, round_index: int = 0
-    ) -> ReceiverRecord:
-        return ReceiverRecord(
-            index=index,
-            receiver_name=receiver_name,
-            trace=walk.trace,
-            outcome=walk.outcome,
-            protected=walk.protected,
-            failed_stage=walk.failed_stage,
-            intention_failed=walk.intention_failed,
-            capability_failed=walk.capability_failed,
-            spoofed=walk.spoofed,
-            note=walk.note,
-            round_index=round_index,
-        )

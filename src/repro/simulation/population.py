@@ -7,7 +7,9 @@ security expert").  The user studies it cites measured real populations; we
 substitute synthetic ones.  A :class:`PopulationSpec` describes the
 distribution of every receiver trait the framework consumes, and
 :meth:`PopulationSpec.sample` draws a concrete
-:class:`~repro.core.receiver.HumanReceiver` from it.
+:class:`~repro.core.receiver.HumanReceiver` from it, while
+:meth:`PopulationSpec.sample_traits` draws a whole batch as trait arrays
+from any :class:`~repro.simulation.rng.DrawSource` (the engine's path).
 
 Preset populations:
 
@@ -41,8 +43,8 @@ from ..core.receiver import (
 from .rng import (
     AGE_STREAMS,
     TRAINED_STREAM,
-    CounterDraws,
     DrawBuffers,
+    DrawSource,
     SimulationRng,
     trait_streams,
 )
@@ -77,10 +79,6 @@ class TraitDistribution:
 
     def sample(self, rng: SimulationRng) -> float:
         return rng.truncated_normal(self.mean, self.std, self.low, self.high)
-
-    def sample_array(self, count: int, rng: SimulationRng) -> np.ndarray:
-        """Draw ``count`` samples at once."""
-        return rng.truncated_normal_array(self.mean, self.std, self.low, self.high, count)
 
 
 # Trait names accepted by PopulationSpec, with library-wide defaults.
@@ -119,9 +117,7 @@ class TraitSamples:
 
     One row per receiver; ``traits`` maps every name in :data:`TRAIT_NAMES`
     to a vector of 0-1 samples.  This is the population representation the
-    vectorized engine consumes; :meth:`PopulationSpec.receiver_from_traits`
-    materializes any single row as a :class:`HumanReceiver` so the scalar
-    reference walk can traverse the very same sampled population.
+    engine consumes, in both execution modes.
     """
 
     population_name: str
@@ -187,16 +183,8 @@ class PopulationSpec:
         draw = {trait: self.distribution(trait).sample(rng) for trait in _DEFAULT_TRAITS}
         age = int(round(rng.truncated_normal(self.mean_age, self.age_spread, 18, 90)))
         trained = rng.bernoulli(self.training_fraction)
-        return self._build_receiver(
-            draw, age=age, trained=trained, name=name or f"{self.name}-member"
-        )
-
-    def _build_receiver(
-        self, draw: Dict[str, float], age: int, trained: bool, name: str
-    ) -> HumanReceiver:
-        """Map a trait draw to a receiver (shared by scalar and batch paths)."""
         return HumanReceiver(
-            name=name,
+            name=name or f"{self.name}-member",
             personal_variables=PersonalVariables(
                 demographics=Demographics(age=age, education=EducationLevel.UNDERGRADUATE),
                 knowledge=KnowledgeExperience(
@@ -243,47 +231,26 @@ class PopulationSpec:
             for index in range(count)
         ]
 
-    def sample_traits(self, count: int, rng: SimulationRng) -> TraitSamples:
-        """Draw ``count`` receivers at once as a struct of arrays.
-
-        The draw order is fixed — one clipped-normal vector per trait in
-        :data:`TRAIT_NAMES` order, then the age vector, then the training
-        uniforms — so a (seed, count) pair always yields the same batch.
-        """
-        if count < 0:
-            raise SimulationError("count must be non-negative")
-        traits = {
-            trait: self.distribution(trait).sample_array(count, rng)
-            for trait in TRAIT_NAMES
-        }
-        ages = np.rint(
-            rng.truncated_normal_array(self.mean_age, self.age_spread, 18, 90, count)
-        ).astype(int)
-        trained = rng.uniform_array(count) < self.training_fraction
-        return TraitSamples(
-            population_name=self.name, traits=traits, ages=ages, trained=trained
-        )
-
-    def sample_traits_counter(
+    def sample_traits(
         self,
         count: int,
-        draws: CounterDraws,
+        draws: DrawSource,
         buffers: Optional[DrawBuffers] = None,
     ) -> TraitSamples:
-        """Draw ``count`` receivers from counter-based keyed streams.
+        """Draw ``count`` receivers at once as a struct of arrays.
 
-        The ``rng_mode="counter"`` counterpart of :meth:`sample_traits`:
-        trait ``k`` of :data:`TRAIT_NAMES` reads its own Box-Muller stream
-        pair, ages and training uniforms theirs, so no draw's address
-        depends on any other category and any single receiver's traits are
-        recomputable in O(1) (:meth:`CounterDraws.clipped_normal_at`).
-        All trait rows and the age row fill through one
-        :meth:`CounterDraws.clipped_normal_block` call, so the
-        Box-Muller transcendentals run as a single vectorized pass over
-        the whole trait block rather than once per trait.
-        With ``buffers`` the trait arrays are views of a recycled block
-        (see :meth:`CounterDraws.clipped_normal_block`), valid until the
-        next same-shape draw from those buffers.
+        One :meth:`~repro.simulation.rng.DrawSource.clipped_normal_block`
+        call draws a row per trait in :data:`TRAIT_NAMES` order plus the
+        age row, then the training uniforms follow.  From
+        :class:`~repro.simulation.rng.CounterDraws`, trait ``k`` reads its
+        own Box-Muller stream pair and ages and training uniforms theirs,
+        so any single receiver's traits are recomputable in O(1)
+        (:meth:`~repro.simulation.rng.CounterDraws.clipped_normal_at`) and
+        the transcendentals run as one vectorized pass over the block;
+        :class:`~repro.simulation.rng.MatrixDraws` replays the same calls
+        in the historical sequential order.  With ``buffers`` the trait
+        arrays may be views of a recycled block, valid until the next
+        same-shape draw from those buffers.
         """
         if count < 0:
             raise SimulationError("count must be non-negative")
@@ -304,22 +271,6 @@ class PopulationSpec:
         trained = draws.uniforms(TRAINED_STREAM, count) < self.training_fraction
         return TraitSamples(
             population_name=self.name, traits=traits, ages=ages, trained=trained
-        )
-
-    def receiver_from_traits(
-        self, samples: TraitSamples, index: int, name: str = ""
-    ) -> HumanReceiver:
-        """Materialize row ``index`` of a trait batch as a receiver.
-
-        The mapping from trait names to receiver fields is identical to
-        :meth:`sample`, so the scalar and batch paths see the same humans.
-        """
-        draw = {trait: float(samples.traits[trait][index]) for trait in TRAIT_NAMES}
-        return self._build_receiver(
-            draw,
-            age=int(samples.ages[index]),
-            trained=bool(samples.trained[index]),
-            name=name or f"{self.name}-member",
         )
 
 

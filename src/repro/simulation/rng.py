@@ -1,24 +1,34 @@
 """Deterministic random-number utilities for the simulation substrate.
 
-All stochastic behaviour in the simulation flows through one of two
-sources, both created from an explicit seed so every experiment in the
-benchmark harness is exactly reproducible:
+All stochastic behaviour in the simulation flows through sources created
+from an explicit seed, so every experiment in the benchmark harness is
+exactly reproducible:
 
 * :class:`SimulationRng` — the sequential source.  Wraps
-  :class:`numpy.random.Generator` and adds the small set of draws the
-  simulation needs (Bernoulli trials, truncated normals, independent
-  child streams).  Draw *order* matters: the k-th value depends on the
-  k-1 draws before it, which is why the engine pins a fixed draw layout.
-* :class:`CounterDraws` — the counter-based source (``rng_mode="counter"``,
-  the engine default), following the "Parallel random numbers: as easy as
-  1, 2, 3" design of keyed counter streams.  Every draw category of a
-  (seed, chunk, round) cell owns a dedicated keyed stream, so the i-th
-  value of any stream is addressable in O(1)
+  :class:`numpy.random.Generator` and adds the scalar draws the
+  per-receiver helpers need (Bernoulli trials, truncated normals,
+  independent child streams).  Draw *order* matters: the k-th value
+  depends on the k-1 draws before it.
+* :class:`DrawSource` — what the engine's draw functions
+  (:func:`~repro.simulation.batch.draw_batch_counter`,
+  :func:`~repro.simulation.batch.redraw_decisions_counter`,
+  :meth:`~repro.simulation.population.PopulationSpec.sample_traits`) call
+  on one (seed, chunk, round) cell.  :data:`DRAW_SOURCES` names the
+  implementation of each ``rng_mode``; the engine picks one per chunk and
+  runs a single draw path over it.
+* :class:`CounterDraws` — the engine's source (``rng_mode="counter"``),
+  following the "Parallel random numbers: as easy as 1, 2, 3" design of
+  keyed counter streams.  Every draw category of a cell owns a dedicated
+  keyed stream, so the i-th value of any stream is addressable in O(1)
   (:meth:`CounterDraws.uniform_at`) without generating its predecessors,
   and no category's draws depend on how many draws another category
   consumed.  Truncated normals come from a fixed-consumption dual-output
   Box–Muller transform instead of numpy's variable-consumption ziggurat,
   keeping them addressable too.
+* :class:`MatrixDraws` — the replay adapter for ``rng_mode="matrix"``:
+  the historical sequential layout of one :class:`SimulationRng` stream
+  per chunk behind the same interface, kept so archived rows reproduce
+  the exact bits they were drawn with.
 
 The counter source keys one :class:`numpy.random.PCG64` state per stream
 (the state words are a splitmix64 hash of the (seed, chunk, round,
@@ -39,7 +49,8 @@ are allocated fresh, so concurrent draws never share memory.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import types
+from typing import Callable, Dict, Mapping, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +58,10 @@ from ..core.exceptions import SimulationError
 
 __all__ = [
     "SimulationRng",
+    "DrawSource",
     "CounterDraws",
+    "MatrixDraws",
+    "DRAW_SOURCES",
     "DrawBuffers",
     "empty_array",
     "trait_streams",
@@ -137,6 +151,14 @@ def empty_array(
     return buffers.array(purpose, shape, order)
 
 
+def _check_clip(std: float, low: float, high: float) -> None:
+    """Reject a clipped-normal request with a negative std or empty range."""
+    if std < 0:
+        raise SimulationError("std must be non-negative")
+    if high < low:
+        raise SimulationError("high must be >= low")
+
+
 def _splitmix64(value: int) -> int:
     """One splitmix64 step: a cheap, well-mixed 64-bit hash permutation."""
     value = (value + 0x9E3779B97F4A7C15) & _MASK64
@@ -217,48 +239,9 @@ class SimulationRng:
         traits being sampled are bounded behavioural scores, and the exact
         tail shape is immaterial to the reproduced effect sizes.
         """
-        if std < 0:
-            raise SimulationError("std must be non-negative")
-        if high < low:
-            raise SimulationError("high must be >= low")
+        _check_clip(std, low, high)
         value = self._generator.normal(mean, std) if std > 0 else mean
         return float(min(high, max(low, value)))
-
-    # -- batch draws -----------------------------------------------------------
-    #
-    # The vectorized engine draws whole populations at once.  These methods
-    # are the only stochastic primitives it needs: matrices of uniforms for
-    # the per-stage decisions and clipped-normal vectors for the traits.
-
-    def uniform_array(self, size: int) -> np.ndarray:
-        """``size`` uniform draws on [0, 1) as a vector."""
-        if size < 0:
-            raise SimulationError("size must be non-negative")
-        return self._generator.random(size)
-
-    def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """A (rows, cols) matrix of uniform draws on [0, 1)."""
-        if rows < 0 or cols < 0:
-            raise SimulationError("matrix dimensions must be non-negative")
-        return self._generator.random((rows, cols))
-
-    def truncated_normal_array(
-        self, mean: float, std: float, low: float, high: float, size: int
-    ) -> np.ndarray:
-        """``size`` normal draws clipped to [low, high] (see truncated_normal).
-
-        A zero ``std`` consumes no randomness and returns a constant vector,
-        mirroring the scalar method.
-        """
-        if std < 0:
-            raise SimulationError("std must be non-negative")
-        if high < low:
-            raise SimulationError("high must be >= low")
-        if size < 0:
-            raise SimulationError("size must be non-negative")
-        if std == 0:
-            return np.full(size, float(min(high, max(low, mean))))
-        return np.clip(self._generator.normal(mean, std, size), low, high)
 
     def integers(self, low: int, high: int) -> int:
         """One integer draw in [low, high)."""
@@ -279,6 +262,55 @@ class SimulationRng:
             probabilities = [p / total for p in probabilities]
         index = self._generator.choice(len(options), p=probabilities)
         return options[int(index)]
+
+
+class DrawSource(Protocol):
+    """The draws of one (seed, chunk, round) cell, as the draw functions call them.
+
+    ``stream`` ids follow the counter layout above; a source that draws in
+    call order (:class:`MatrixDraws`) ignores them.  ``buffers`` may
+    supply recycled output arrays (see :class:`DrawBuffers`).
+    """
+
+    def for_round(self, round_index: int) -> "DrawSource":
+        """The same chunk cell at another hazard-encounter round."""
+        ...
+
+    def uniforms(self, stream: int, size: int) -> np.ndarray:
+        """``size`` uniform [0, 1) values."""
+        ...
+
+    def clipped_normal_block(
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        means: Sequence[float],
+        stds: Sequence[float],
+        lows: Sequence[float],
+        highs: Sequence[float],
+        count: int,
+        buffers: Optional[DrawBuffers] = None,
+    ) -> np.ndarray:
+        """A (len(pairs), count) matrix of clipped normals, one row per pair."""
+        ...
+
+    def clipped_normals(
+        self,
+        streams: Tuple[int, int],
+        mean: float,
+        std: float,
+        low: float,
+        high: float,
+        size: int,
+        buffers: Optional[DrawBuffers] = None,
+    ) -> np.ndarray:
+        """``size`` normals clipped to [low, high]."""
+        ...
+
+    def decision_matrix(
+        self, count: int, columns: int, buffers: Optional[DrawBuffers] = None
+    ) -> np.ndarray:
+        """The (count, columns) decision uniforms, laid out by ``decision_columns``."""
+        ...
 
 
 class CounterDraws:
@@ -387,6 +419,20 @@ class CounterDraws:
             raise SimulationError("index must be non-negative")
         return float(self._position(stream, index).random(1)[0])
 
+    def decision_matrix(
+        self, count: int, columns: int, buffers: Optional[DrawBuffers] = None
+    ) -> np.ndarray:
+        """Decision column ``c`` is the prefix of stream ``DECISION_STREAM_BASE + c``.
+
+        The matrix is column-major: each column is one stream's contiguous
+        prefix, filled in place, and the traversal kernel's per-checkpoint
+        column reads (``decisions[:, column]``) stay contiguous too.
+        """
+        decisions = empty_array(buffers, "decisions", (count, columns), order="F")
+        for column in range(columns):
+            self.fill_uniforms(DECISION_STREAM_BASE + column, decisions[:, column])
+        return decisions
+
     # -- clipped normals --------------------------------------------------------
     #
     # Pair j of a (stream_a, stream_b) Box-Muller pair produces TWO
@@ -416,8 +462,7 @@ class CounterDraws:
         One vectorized transcendental pass covers every row, which is
         what lets counter-mode trait sampling outrun the matrix path's
         per-trait ziggurat fills.  Rows with zero std are constant and
-        consume no stream values, mirroring
-        :meth:`SimulationRng.truncated_normal_array`.
+        consume no stream values.
 
         With ``buffers`` the returned matrix and the transform's
         temporaries come from that :class:`DrawBuffers`, so the result is
@@ -427,11 +472,8 @@ class CounterDraws:
         if count < 0:
             raise SimulationError("count must be non-negative")
         rows = len(pairs)
-        for std, low, high, mean in zip(stds, lows, highs, means):
-            if std < 0:
-                raise SimulationError("std must be non-negative")
-            if high < low:
-                raise SimulationError("high must be >= low")
+        for std, low, high in zip(stds, lows, highs):
+            _check_clip(std, low, high)
         half = (count + 1) // 2
         block = empty_array(buffers, "normals", (rows, 2 * half))
         active = [row for row in range(rows) if stds[row] > 0]
@@ -513,9 +555,8 @@ class CounterDraws:
     ) -> np.ndarray:
         """``size`` dual-output Box-Muller normals clipped to [low, high].
 
-        A zero ``std`` returns a constant vector, mirroring
-        :meth:`SimulationRng.truncated_normal_array` (the streams stay
-        untouched — counter streams have no draw-order state to preserve).
+        A zero ``std`` returns a constant vector and leaves the streams
+        untouched (counter streams have no draw-order state to preserve).
         """
         return self.clipped_normal_block(
             [streams], [mean], [std], [low], [high], size, buffers=buffers
@@ -538,10 +579,7 @@ class CounterDraws:
         at [0, ceil(count/2)) and the sin outputs after them, so the
         pair index of an element depends on where that boundary falls.
         """
-        if std < 0:
-            raise SimulationError("std must be non-negative")
-        if high < low:
-            raise SimulationError("high must be >= low")
+        _check_clip(std, low, high)
         if not 0 <= index < count:
             raise SimulationError("index must be in [0, count)")
         if std == 0:
@@ -570,3 +608,86 @@ class CounterDraws:
         else:
             value = float((cosine * radius)[0])
         return float(min(high, max(low, value + mean)))
+
+
+class MatrixDraws:
+    """The sequential matrix layout behind the :class:`DrawSource` interface.
+
+    A replay adapter, kept so rows recorded under ``rng_mode="matrix"``
+    reproduce bit for bit.  It wraps the generator of
+    ``SimulationRng(seed).spawn(chunk)`` (spawned again by
+    ``round_index`` for a later round), ignores stream ids and
+    ``buffers``, and draws in call order.  The draw functions call in the
+    historical matrix order — trait rows in ``TRAIT_NAMES`` order, age,
+    trained, spoof, noise, decisions — so the values are the ones the
+    matrix path always drew: ziggurat normals clipped per row, and one
+    row-major decision matrix.
+    """
+
+    def __init__(self, seed: int, chunk: int = 0, round_index: int = 0) -> None:
+        self.seed = seed
+        self.chunk = chunk
+        self.round_index = round_index
+        rng = SimulationRng(seed).spawn(chunk)
+        if round_index:
+            rng = rng.spawn(round_index)
+        self._generator = rng._generator
+
+    def for_round(self, round_index: int) -> "MatrixDraws":
+        """The same chunk cell at another hazard-encounter round."""
+        return MatrixDraws(self.seed, self.chunk, round_index)
+
+    def uniforms(self, stream: int, size: int) -> np.ndarray:
+        """The next ``size`` uniforms of the sequential stream."""
+        if size < 0:
+            raise SimulationError("size must be non-negative")
+        return self._generator.random(size)
+
+    def clipped_normals(
+        self,
+        streams: Tuple[int, int],
+        mean: float,
+        std: float,
+        low: float,
+        high: float,
+        size: int,
+        buffers: Optional[DrawBuffers] = None,
+    ) -> np.ndarray:
+        """The next ``size`` normals clipped to [low, high]; zero ``std`` draws nothing."""
+        _check_clip(std, low, high)
+        if size < 0:
+            raise SimulationError("size must be non-negative")
+        if std == 0:
+            return np.full(size, float(min(high, max(low, mean))))
+        return np.clip(self._generator.normal(mean, std, size), low, high)
+
+    def clipped_normal_block(
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        means: Sequence[float],
+        stds: Sequence[float],
+        lows: Sequence[float],
+        highs: Sequence[float],
+        count: int,
+        buffers: Optional[DrawBuffers] = None,
+    ) -> np.ndarray:
+        """One :meth:`clipped_normals` row per pair, drawn in row order."""
+        return np.array(
+            [
+                self.clipped_normals(pair, mean, std, low, high, count)
+                for pair, mean, std, low, high in zip(pairs, means, stds, lows, highs)
+            ]
+        )
+
+    def decision_matrix(
+        self, count: int, columns: int, buffers: Optional[DrawBuffers] = None
+    ) -> np.ndarray:
+        """The next ``count × columns`` uniforms as one row-major matrix."""
+        return self._generator.random((count, columns))
+
+
+#: The draw source of each ``rng_mode``, constructed as
+#: ``source(seed, chunk)``; the engine's ``RNG_MODES`` is derived from it.
+DRAW_SOURCES: Mapping[str, Callable[[int, int], DrawSource]] = types.MappingProxyType(
+    {"matrix": MatrixDraws, "counter": CounterDraws}
+)

@@ -39,6 +39,7 @@ from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Sequence, T
 from ..core.exceptions import ModelError
 from ..core.task import SecureSystem
 from ..simulation.calibration import StageCalibration
+from ..simulation.engine import RNG_MODES
 from ..simulation.population import PopulationSpec
 
 __all__ = [
@@ -359,7 +360,7 @@ def common_parameter_space() -> ParameterSpace:
                 "rng_mode",
                 "choice",
                 default=None,
-                choices=("matrix", "counter"),
+                choices=RNG_MODES,
                 allow_none=True,
                 description=(
                     "Decision-stream source: 'counter' (O(1)-addressable keyed "

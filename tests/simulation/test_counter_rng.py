@@ -166,11 +166,11 @@ class TestSingleDecisionRecompute:
 
     def test_trait_draws_recompute(self, population):
         cell = CounterDraws(SEED, chunk=4)
-        samples = population.sample_traits_counter(100, cell)
+        samples = population.sample_traits(100, cell)
         trained = cell.uniforms(TRAINED_STREAM, 100) < population.training_fraction
         assert np.array_equal(samples.trained, trained)
         # Chunk identity alone determines the traits.
-        again = population.sample_traits_counter(100, CounterDraws(SEED, chunk=4))
+        again = population.sample_traits(100, CounterDraws(SEED, chunk=4))
         for name, values in samples.traits.items():
             assert np.array_equal(values, again.traits[name])
         assert np.array_equal(samples.ages, again.ages)

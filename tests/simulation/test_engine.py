@@ -11,7 +11,6 @@ from repro.simulation.attacker import spoofing_attacker
 from repro.simulation.calibration import StageCalibration
 from repro.simulation.engine import HumanLoopSimulator, SimulationConfig
 from repro.simulation.population import general_web_population
-from repro.simulation.rng import SimulationRng
 
 
 @pytest.fixture
@@ -167,19 +166,45 @@ class TestSimulateTask:
         assert evaluated_retention
 
 
-class TestSimulateReceiver:
-    def test_single_receiver_record_fields(self, simulator, warning_task):
-        receiver = general_web_population().sample(SimulationRng(0))
-        record = simulator.simulate_receiver(warning_task, receiver, SimulationRng(1), index=7)
-        assert record.index == 7
-        assert record.receiver_name == receiver.name
-        assert isinstance(record.protected, bool)
-        assert record.outcome in BehaviorOutcome
+class TestDrawPathLookups:
+    """The engine draws through ``batch.draw_batch_counter`` and
+    ``batch.redraw_decisions_counter``, looked up on the module at call
+    time, in every rng mode.  Wrappers patched onto those names (span
+    recorders, for one) therefore see every chunk and every round."""
 
-    def test_protected_consistent_with_outcome(self, simulator, warning_task):
-        receiver = general_web_population().sample(SimulationRng(2))
-        for index in range(50):
-            record = simulator.simulate_receiver(
-                warning_task, receiver, SimulationRng(index), index=index
-            )
-            assert record.protected == record.outcome.hazard_avoided
+    @pytest.mark.parametrize("rng_mode", ["counter", "matrix"])
+    def test_each_chunk_and_round_draws_through_the_module_names(
+        self, warning_task, monkeypatch, rng_mode
+    ):
+        from repro.simulation import batch as batch_module
+
+        calls = {}
+
+        def spy(name, cell_position):
+            real = getattr(batch_module, name)
+            calls[name] = []
+
+            def wrapper(*args, **kwargs):
+                cell = args[cell_position]
+                calls[name].append((cell.chunk, cell.round_index))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(batch_module, name, wrapper)
+
+        spy("draw_batch_counter", 3)
+        spy("redraw_decisions_counter", 2)
+        simulator = HumanLoopSimulator(SimulationConfig(batch_size=400))
+        simulator.simulate_task(
+            warning_task,
+            general_web_population(),
+            n_receivers=1003,
+            rounds=3,
+            rng_mode=rng_mode,
+            chunk_workers=1,
+        )
+        assert calls["draw_batch_counter"] == [(0, 0), (1, 0), (2, 0)]
+        # Round 0 redraws inside draw_batch_counter; rounds 1 and 2 come
+        # straight from the engine, once per chunk.
+        assert calls["redraw_decisions_counter"] == [
+            (chunk, round_index) for chunk in range(3) for round_index in range(3)
+        ]

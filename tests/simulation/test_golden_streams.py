@@ -25,7 +25,7 @@ from repro.simulation import batch as batch_module
 from repro.simulation.calibration import StageCalibration
 from repro.simulation.engine import HumanLoopSimulator, SimulationConfig
 from repro.simulation.population import general_web_population
-from repro.simulation.rng import CounterDraws, SimulationRng
+from repro.simulation.rng import DRAW_SOURCES
 from repro.systems import get_scenario
 
 SEED = 77
@@ -73,11 +73,6 @@ def _observe(task_key, rng_mode, rounds, mode):
     ]
 
 
-def _matrix_draws(plan, population, count):
-    """The matrix layout's chunk-1 draws."""
-    return batch_module.draw_batch(plan, population, count, SimulationRng(SEED).spawn(1))
-
-
 def _raw(draws):
     return {
         "trait0": [float(value) for value in draws.samples.traits["security_knowledge"][:3]],
@@ -89,13 +84,8 @@ def _raw(draws):
 def _observe_raw(rng_mode):
     task, population, calibration = _components("active")
     plan = HumanLoopSimulator(SimulationConfig(calibration=calibration))._plan_for(task)
-    if rng_mode == "counter":
-        draws = batch_module.draw_batch_counter(
-            plan, population, RAW_COUNT, CounterDraws(SEED, 1)
-        )
-    else:
-        draws = _matrix_draws(plan, population, RAW_COUNT)
-    return _raw(draws)
+    cell = DRAW_SOURCES[rng_mode](SEED, 1)
+    return _raw(batch_module.draw_batch_counter(plan, population, RAW_COUNT, cell))
 
 
 GRID = [

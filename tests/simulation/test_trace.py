@@ -5,16 +5,14 @@ Pins the refactor's invariants:
 * the batch and reference modes emit *identical* funnel tallies round by
   round (reference is the same kernel at width 1),
 * traces agree with the streaming :class:`SimulationTally` counters
-  (trace↔tally consistency), and
-* the scalar ``walk()`` — now a width-1 drive of the kernel — still
-  matches a full-width batch evaluation row for row.
+  (trace↔tally consistency).
 """
 
 import numpy as np
 import pytest
 
 from repro.core.exceptions import ModelError, SimulationError
-from repro.core.pipeline import build_pipeline, decision_columns, walk_from_row
+from repro.core.pipeline import build_pipeline
 from repro.core.stages import GATE_CHECKPOINTS, Stage, StageTraceBatch
 from repro.core.task import HumanSecurityTask
 from repro.simulation import batch as batch_module
@@ -22,7 +20,7 @@ from repro.simulation.calibration import StageCalibration
 from repro.simulation.engine import HumanLoopSimulator, SimulationConfig
 from repro.simulation.metrics import FunnelTally
 from repro.simulation.population import general_web_population
-from repro.simulation.rng import SimulationRng
+from repro.simulation.rng import CounterDraws
 from repro.systems import get_scenario
 
 N = 400
@@ -40,8 +38,8 @@ class TestKernelTrace:
 
     def _evaluate(self, warning_task, trace=True):
         plan = build_pipeline(warning_task, calibration=StageCalibration.neutral())
-        draws = batch_module.draw_batch(
-            plan, general_web_population(), N, SimulationRng(SEED)
+        draws = batch_module.draw_batch_counter(
+            plan, general_web_population(), N, CounterDraws(SEED)
         )
         return plan, batch_module.evaluate_batch(plan, draws, trace=trace)
 
@@ -92,8 +90,8 @@ class TestKernelTrace:
     def test_no_communication_trace(self):
         task = HumanSecurityTask(name="silent", desired_action="act")
         plan = build_pipeline(task)
-        draws = batch_module.draw_batch(
-            plan, general_web_population(), 50, SimulationRng(1)
+        draws = batch_module.draw_batch_counter(
+            plan, general_web_population(), 50, CounterDraws(1)
         )
         outcomes = batch_module.evaluate_batch(plan, draws, trace=True)
         assert outcomes.trace.labels == ("self_initiated",)
@@ -119,75 +117,6 @@ class TestKernelTrace:
                 passed=np.zeros((2, 1), dtype=bool),
                 spoofed=np.zeros(3, dtype=bool),
             )
-
-
-class TestScalarWalkIsKernelWidthOne:
-    """plan.walk() and the batch kernel must realize identical passes."""
-
-    def test_walk_matches_batch_rows(self, warning_task):
-        plan = build_pipeline(warning_task, calibration=StageCalibration.neutral())
-        draws = batch_module.draw_batch(
-            plan, general_web_population(), 100, SimulationRng(SEED)
-        )
-        outcomes = batch_module.evaluate_batch(plan, draws)
-        columns = decision_columns(plan)
-        population = general_web_population()
-
-        for row in range(100):
-            receiver = population.receiver_from_traits(draws.samples, row)
-            spoofed = bool(draws.spoof_uniforms[row] < plan.spoof_probability)
-
-            def decide(kind, stage, probability, row=row):
-                column = columns[f"stage:{stage.value}" if kind == "stage" else kind]
-                return bool(draws.decisions[row, column] < probability)
-
-            walk = plan.walk(
-                receiver,
-                decide=decide,
-                noise=float(draws.noise[row]),
-                spoofed=spoofed,
-            )
-            batch_walk = walk_from_row(outcomes, row)
-            assert walk.outcome is batch_walk.outcome
-            assert walk.protected == batch_walk.protected
-            assert walk.failed_stage is batch_walk.failed_stage
-            assert walk.intention_failed == batch_walk.intention_failed
-            assert walk.capability_failed == batch_walk.capability_failed
-            assert walk.note == batch_walk.note
-            assert walk.trace.evaluated_stages == batch_walk.trace.evaluated_stages
-            assert walk.trace.skipped == batch_walk.trace.skipped
-            for mine, theirs in zip(walk.trace.outcomes, batch_walk.trace.outcomes):
-                assert mine.succeeded == theirs.succeeded
-                assert mine.probability == theirs.probability
-
-    def test_lazy_callback_not_consulted_past_failure(self, warning_task):
-        # The scalar walk must keep its lazy draw contract: no decisions
-        # are requested for checkpoints the receiver never reaches.
-        plan = build_pipeline(warning_task)
-        receiver = general_web_population().sample(SimulationRng(0))
-        calls = []
-
-        def decide(kind, stage, probability):
-            calls.append((kind, stage))
-            return False  # fail the first checkpoint immediately
-
-        walk = plan.walk(receiver, decide=decide)
-        # Attention switch fails safely under a blocking warning without an
-        # override draw; nothing else may have been consulted.
-        assert walk.failed_stage is Stage.ATTENTION_SWITCH
-        assert calls == [("stage", Stage.ATTENTION_SWITCH)]
-
-    def test_spoofed_walk_consults_nothing(self, warning_task):
-        plan = build_pipeline(warning_task)
-        receiver = general_web_population().sample(SimulationRng(0))
-        calls = []
-        walk = plan.walk(
-            receiver,
-            decide=lambda kind, stage, p: calls.append(kind) or True,
-            spoofed=True,
-        )
-        assert walk.spoofed and not walk.protected
-        assert calls == []
 
 
 class TestFunnelTally:
