@@ -14,13 +14,11 @@ draw width grows 100x.
 
 Context for the recorded ratio: the counter path pays for addressability
 (state-keyed streams, dual-output Box–Muller with quarter-wave cosine
-folding) and sits within a few percent of the matrix fill rate at full
-scale — while the *engine-level* comparison in ``BENCH_engine.json``
-(which adds zero-copy parallel dispatch and deferred record
-regeneration, both counter-only) comes out ahead.  That engine-level
-ratio is what gated flipping ``SimulationConfig``'s default to
-``rng_mode="counter"`` (PR 9); the raw fill ratio here tracks the
-distance the transform optimisations still have to cover.
+folding) and still fills at least as fast as the matrix layout at full
+scale.  The matrix column is a replay adapter that is kept correct, not
+fast, so this ratio says little about the engine; the *engine-level*
+comparison in ``BENCH_engine.json`` is what gated flipping
+``SimulationConfig``'s default to ``rng_mode="counter"`` (PR 9).
 
 Results land in ``BENCH_rng.json`` at the repository root.
 ``BENCH_RNG_N`` caps the top scale (CI smoke).

@@ -264,7 +264,7 @@ class ReceiverTerms:
 
 
 def walk_from_row(outcomes: BatchWalk, row: int) -> PipelineWalk:
-    """Materialize one lane of a :class:`BatchWalk` as a scalar walk.
+    """Materialize one lane of a :class:`BatchWalk` as a :class:`PipelineWalk`.
 
     The single source of the scalar trace, note strings, and failure
     flags: the simulation layer builds every per-receiver record through
