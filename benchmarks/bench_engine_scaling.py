@@ -1,28 +1,24 @@
-"""Benchmark: batch-engine throughput at population scale.
+"""Benchmark: batch-engine throughput, matrix vs counter draws, and small N.
 
 Runs the anti-phishing scenario (IE active warning, calibrated
-general-web population) through the vectorized batch engine at 250 / 1k /
-10k / 100k receivers, records receivers/second at each scale, and writes
-the results to ``BENCH_engine.json`` at the repository root so future PRs
-can track the performance trajectory.
+general-web population) through the vectorized batch engine and writes
+``BENCH_engine.json`` at the repository root with two measurements that
+``perfbench`` (whose ``engine_single`` workload times the default engine
+at 100k receivers) does not take:
 
-The 250-receiver point guards the small-N regime: per-call setup (plan
-construction, chunk bookkeeping, record materialization) used to cost
-small sweep variants ~25x the per-receiver rate of the 100k run, and the
-deferred-record fix (PR 6) is only visible at this scale.  The scale rows
-run the engine default, which is ``rng_mode="counter"`` as of PR 9; two
-explicit full-scale points — ``matrix_mode`` and ``counter_mode``, the
-per-mode *median* over interleaved repeats so machine noise hits both
-equally and no mode wins by catching one lucky quiet slice — record the
-head-to-head rate of the two sources.  The recorded ``counter_vs_matrix_ratio`` is the
-number that justified flipping the default (the floor check enforces
->= 1.0 on the committed recording); with draw-buffer recycling the
-counter source runs ~10-15% ahead on a quiet machine, but shared-runner
-noise can still push a single run around — regenerate this file on a
-quiet machine and re-run if a noisy ratio lands below 1.
-
-Acceptance criterion tracked here: 100,000 receivers must simulate in
-under 5 seconds.
+* **matrix vs counter head-to-head.**  Both draw sources at 100k
+  receivers, interleaved so machine noise hits both equally, each
+  reported as its per-mode *median* so no mode wins by catching one
+  lucky quiet slice.  The recorded ``counter_vs_matrix_ratio`` is the
+  number that justified ``rng_mode="counter"`` as the default (the floor
+  check enforces >= 1.0 on the committed recording), and the two rates
+  are the matrix and counter floors.  Shared-runner noise can still push
+  a single run around; regenerate this file on a quiet machine and
+  re-run if a noisy ratio lands below 1.
+* **small-N guard.**  Per-call setup (plan construction, chunk
+  bookkeeping) once cost small sweep variants ~25x the per-receiver rate
+  of a 100k run.  At 250 receivers the engine default must keep at least
+  10% of the counter-mode 100k rate.
 
 Run standalone::
 
@@ -36,6 +32,7 @@ or through pytest::
 from __future__ import annotations
 
 import json
+import os
 import statistics
 from pathlib import Path
 from typing import Dict, List
@@ -43,15 +40,13 @@ from typing import Dict, List
 from _timing import timed, utc_timestamp
 from repro.systems import get_scenario
 
-SCALES = (250, 1_000, 10_000, 100_000)
 SEED = 20080124
 SCENARIO = "antiphishing"
 TASK = "heed-ie_active-warning"
-ACCEPTANCE_N = 100_000
-ACCEPTANCE_SECONDS = 5.0
+FULL_N = 100_000
 SMALL_N = 250
 SMALL_N_MIN_FRACTION = 0.1  # small-N rate must keep >= 10% of the 100k rate
-MODE_REPEATS = 9  # interleaved repeats for the matrix/counter head-to-head
+MODE_REPEATS = 9  # interleaved repeats of every measurement
 #: Live-run tolerance for counter >= matrix: a single noisy run may land a
 #: few percent under parity without meaning a regression; the strict
 #: >= 1.0 floor applies to the committed recording (bench_floor_check).
@@ -60,81 +55,55 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
 def measure_scaling() -> Dict[str, object]:
-    """Time the batch engine at each scale and build the report payload."""
+    """Time the head-to-head and the small-N point; build the report payload."""
     scenario = get_scenario(SCENARIO)
     task = scenario.task(TASK)
     population = scenario.population()
     simulator = scenario.simulator(seed=SEED)
 
+    def run(n_receivers: int, rng_mode: str = "counter"):
+        return simulator.simulate_task(
+            task, population, n_receivers=n_receivers, seed=SEED, rng_mode=rng_mode
+        )
+
     # Warm-up outside the timed region (imports, first-call numpy setup).
-    simulator.simulate_task(task, population, n_receivers=1_000, seed=SEED)
+    run(1_000)
 
-    rows: List[Dict[str, float]] = []
-    for n_receivers in SCALES:
-        elapsed, result = timed(
-            lambda n=n_receivers: simulator.simulate_task(
-                task, population, n_receivers=n, seed=SEED
-            )
-        )
-        rows.append(
-            {
-                "n_receivers": n_receivers,
-                "seconds": round(elapsed, 6),
-                "receivers_per_sec": round(n_receivers / elapsed, 1),
-                "protection_rate": round(result.protection_rate(), 4),
-            }
-        )
-
-    # Explicit full-scale head-to-head: the counter source (the default
-    # since PR 9) against the matrix source it replaced.  Interleaved
-    # repeats so scheduler noise hits both sides equally, and the
-    # *median* per mode rather than the minimum: on a shared machine
-    # min() rewards whichever mode caught the one quiet slice, while
-    # the median pairs like with like across the same noise.
-    samples: Dict[str, List[float]] = {"matrix": [], "counter": []}
+    # Interleaved repeats so scheduler noise hits every measurement
+    # equally, and the *median* per measurement rather than the minimum:
+    # on a shared machine min() rewards whichever side caught the one
+    # quiet slice, while the median pairs like with like.
+    samples: Dict[str, List[float]] = {"matrix": [], "counter": [], "small_n": []}
     results = {}
     for _ in range(MODE_REPEATS):
         for rng_mode in ("matrix", "counter"):
-            elapsed, result = timed(
-                lambda m=rng_mode: simulator.simulate_task(
-                    task, population, n_receivers=ACCEPTANCE_N, seed=SEED, rng_mode=m
-                )
-            )
+            elapsed, results[rng_mode] = timed(lambda m=rng_mode: run(FULL_N, m))
             samples[rng_mode].append(elapsed)
-            results[rng_mode] = result
-    mode_seconds = {
-        rng_mode: statistics.median(elapsed) for rng_mode, elapsed in samples.items()
-    }
+        elapsed, results["small_n"] = timed(lambda: run(SMALL_N))
+        samples["small_n"].append(elapsed)
+    seconds = {key: statistics.median(elapsed) for key, elapsed in samples.items()}
 
-    def _mode_row(rng_mode: str) -> Dict[str, object]:
+    def _row(key: str, n_receivers: int, rng_mode: str) -> Dict[str, object]:
         return {
             "rng_mode": rng_mode,
-            "n_receivers": ACCEPTANCE_N,
-            "seconds": round(mode_seconds[rng_mode], 6),
-            "receivers_per_sec": round(ACCEPTANCE_N / mode_seconds[rng_mode], 1),
-            "protection_rate": round(results[rng_mode].protection_rate(), 4),
+            "n_receivers": n_receivers,
+            "seconds": round(seconds[key], 6),
+            "receivers_per_sec": round(n_receivers / seconds[key], 1),
+            "protection_rate": round(results[key].protection_rate(), 4),
         }
 
-    acceptance_row = next(row for row in rows if row["n_receivers"] == ACCEPTANCE_N)
     return {
         "benchmark": "engine_scaling",
         "scenario": SCENARIO,
         "task": TASK,
         "seed": SEED,
         "mode": "batch",
+        "cpu_count": os.cpu_count(),
         "recorded_at": utc_timestamp(),
-        "scales": rows,
-        "matrix_mode": _mode_row("matrix"),
-        "counter_mode": _mode_row("counter"),
-        "counter_vs_matrix_ratio": round(
-            mode_seconds["matrix"] / mode_seconds["counter"], 4
-        ),
-        "acceptance": {
-            "n_receivers": ACCEPTANCE_N,
-            "threshold_seconds": ACCEPTANCE_SECONDS,
-            "seconds": acceptance_row["seconds"],
-            "passed": acceptance_row["seconds"] < ACCEPTANCE_SECONDS,
-        },
+        "small_n": _row("small_n", SMALL_N, "counter"),
+        "matrix_mode": _row("matrix", FULL_N, "matrix"),
+        "counter_mode": _row("counter", FULL_N, "counter"),
+        "counter_vs_matrix_ratio": round(seconds["matrix"] / seconds["counter"], 4),
     }
 
 
@@ -144,24 +113,19 @@ def write_report(report: Dict[str, object]) -> Path:
 
 
 def test_engine_scaling_writes_report():
-    """100k receivers under the threshold; report lands in BENCH_engine.json."""
+    """Small-N guard and counter >= matrix hold; report lands in BENCH_engine.json."""
     report = measure_scaling()
     path = write_report(report)
 
     assert path.exists()
-    acceptance = report["acceptance"]
-    assert acceptance["passed"], (
-        f"batch engine took {acceptance['seconds']:.2f}s for "
-        f"{acceptance['n_receivers']} receivers "
-        f"(threshold {acceptance['threshold_seconds']}s)"
-    )
-    rates = {row["n_receivers"]: row["receivers_per_sec"] for row in report["scales"]}
+    small_rate = report["small_n"]["receivers_per_sec"]
+    full_rate = report["counter_mode"]["receivers_per_sec"]
     # The small-N cliff stays fixed: per-call setup must not eat more
     # than ~10x of the full-scale per-receiver rate at n=250.
-    assert rates[SMALL_N] >= SMALL_N_MIN_FRACTION * rates[ACCEPTANCE_N], (
-        f"small-N cliff: n={SMALL_N} ran at {rates[SMALL_N]:,.0f} receivers/s, "
+    assert small_rate >= SMALL_N_MIN_FRACTION * full_rate, (
+        f"small-N cliff: n={SMALL_N} ran at {small_rate:,.0f} receivers/s, "
         f"below {SMALL_N_MIN_FRACTION:.0%} of the full-scale "
-        f"{rates[ACCEPTANCE_N]:,.0f} receivers/s"
+        f"{full_rate:,.0f} receivers/s"
     )
     # The default flip's justification: counter mode must not fall behind
     # the matrix source it replaced (tolerance for single-run noise; the
@@ -177,13 +141,8 @@ def test_engine_scaling_writes_report():
 def main() -> None:
     report = measure_scaling()
     path = write_report(report)
-    print(f"wrote {path}")
-    for row in report["scales"]:
-        print(
-            f"  n={row['n_receivers']:>7,}  {row['seconds']:>8.3f}s  "
-            f"{row['receivers_per_sec']:>12,.0f} receivers/s"
-        )
-    for key in ("matrix_mode", "counter_mode"):
+    print(f"wrote {path} ({report['cpu_count']} cores)")
+    for key in ("small_n", "matrix_mode", "counter_mode"):
         row = report[key]
         print(
             f"  n={row['n_receivers']:>7,}  {row['seconds']:>8.3f}s  "
@@ -191,12 +150,6 @@ def main() -> None:
             f"(rng_mode={row['rng_mode']})"
         )
     print(f"  counter vs matrix: {report['counter_vs_matrix_ratio']:.3f}x")
-    acceptance = report["acceptance"]
-    status = "PASS" if acceptance["passed"] else "FAIL"
-    print(
-        f"  acceptance: {acceptance['n_receivers']:,} receivers in "
-        f"{acceptance['seconds']:.3f}s (< {acceptance['threshold_seconds']}s) -> {status}"
-    )
 
 
 if __name__ == "__main__":

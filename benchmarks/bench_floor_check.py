@@ -1,21 +1,21 @@
-"""Benchmark floor checks: fail CI when throughput regresses (ISSUEs 4-9).
+"""Benchmark floor checks: fail CI when throughput regresses.
 
 Re-runs the exact workloads whose numbers are recorded in
-``BENCH_engine.json`` (single-shot engine scaling, matrix and counter rng
-modes), ``BENCH_rounds.json`` (multi-round engine), ``BENCH_shards.json``
-(sharded sweep execution), and ``BENCH_scheduler.json`` (the cluster
-scheduler's worker fleet, run *with* an injected worker kill so crash
-recovery is always exercised), and ``BENCH_service.json`` (cache-served
-small-simulate requests through a real loopback HTTP server) and fails
-if the live throughput drops below **half** of the recorded value — a loose enough
-floor to ride out machine noise, tight enough to catch a hot path
-regressing by an order of magnitude.  Also runs a small-N funnel-metrics
-smoke so the trace layer stays wired end to end, and a two-worker
-in-call parallelism smoke (``chunk_workers=2`` must reassemble the
-serial run bit for bit at any scale; the wall-clock comparison is
-skipped, not failed, on single-core runners).  The shard floor doubles
-as a two-shard merge smoke (merged shards must equal the serial run bit
-for bit at any scale).
+``BENCH_engine.json`` (the matrix and counter rng modes at 100k
+receivers), ``BENCH_shards.json`` (sharded sweep execution), and
+``BENCH_scheduler.json`` (the cluster scheduler's worker fleet, run
+*with* an injected worker kill so crash recovery is always exercised),
+and fails if the live throughput drops below **half** of the recorded
+value — a loose enough floor to ride out machine noise, tight enough to
+catch a hot path regressing by an order of magnitude.  Also runs a
+small-N funnel-metrics smoke so the trace layer stays wired end to end,
+and a two-worker in-call parallelism smoke (``chunk_workers=2`` must
+reassemble the serial run bit for bit at any scale; the wall-clock
+comparison is skipped, not failed, on single-core runners).  The shard
+floor doubles as a two-shard merge smoke (merged shards must equal the
+serial run bit for bit at any scale).  The default engine's end-to-end
+rates, multi-round included, and the service's request rate are bounded
+by ``perfbench`` (``BENCHMARK.json``) instead.
 
 Two checks validate the *committed recordings* rather than a live run
 (deterministic file reads, engaged at every scale): the
@@ -30,9 +30,8 @@ tallies; records regenerate from coordinates at home).
 
 The floors only engage when the live run is at the recorded scale (the
 recorded numbers are meaningless for smaller N): set ``BENCH_FLOOR_N`` /
-``BENCH_FLOOR_ROUNDS`` / ``BENCH_FLOOR_SHARD_N`` /
-``BENCH_FLOOR_SCHEDULER_N`` / ``BENCH_FLOOR_SERVICE_REQUESTS`` below
-the recorded scale to run everything as a pure smoke check (what CI
+``BENCH_FLOOR_SHARD_N`` / ``BENCH_FLOOR_SCHEDULER_N`` below the
+recorded scale to run everything as a pure smoke check (what CI
 does).
 
 Run standalone::
@@ -68,10 +67,8 @@ FLOOR_FRACTION = 0.5
 #: recorded head-to-head is what justified the counter default.
 RNG_RATIO_FLOOR = 1.0
 N_RECEIVERS = int(os.environ.get("BENCH_FLOOR_N", "100000"))
-ROUNDS = int(os.environ.get("BENCH_FLOOR_ROUNDS", "10"))
 N_SHARD_RECEIVERS = int(os.environ.get("BENCH_FLOOR_SHARD_N", "20000"))
 N_SCHEDULER_RECEIVERS = int(os.environ.get("BENCH_FLOOR_SCHEDULER_N", "20000"))
-N_SERVICE_REQUESTS = int(os.environ.get("BENCH_FLOOR_SERVICE_REQUESTS", "50"))
 
 # The recorded workloads (constants mirror the recording benchmarks).
 ENGINE_SEED = 20080124
@@ -156,19 +153,6 @@ if pytest is not None:
         _print_summary()
 
 
-def _recorded_engine_rate() -> Optional[Tuple[int, float]]:
-    """(n_receivers, receivers_per_sec) of the recorded 100k scale point."""
-    path = REPO_ROOT / "BENCH_engine.json"
-    if not path.exists():
-        return None
-    payload = json.loads(path.read_text())
-    scales = payload.get("scales", [])
-    if not scales:
-        return None
-    top = max(scales, key=lambda row: row["n_receivers"])
-    return int(top["n_receivers"]), float(top["receivers_per_sec"])
-
-
 def _recorded_counter_rate() -> Optional[Tuple[int, float]]:
     """(n_receivers, receivers_per_sec) recorded for counter-mode rng."""
     path = REPO_ROOT / "BENCH_engine.json"
@@ -180,18 +164,6 @@ def _recorded_counter_rate() -> Optional[Tuple[int, float]]:
     return int(counter["n_receivers"]), float(counter["receivers_per_sec"])
 
 
-def _recorded_rounds_rate() -> Optional[Tuple[int, float]]:
-    """(receiver_rounds, receiver_rounds_per_sec) recorded for multi-round."""
-    path = REPO_ROOT / "BENCH_rounds.json"
-    if not path.exists():
-        return None
-    payload = json.loads(path.read_text())
-    return (
-        int(payload.get("receiver_rounds", 0)),
-        float(payload.get("receiver_rounds_per_sec", 0.0)),
-    )
-
-
 def _recorded_shard_rate() -> Optional[Tuple[int, float]]:
     """(total_receivers, receivers_per_sec) recorded for the sharded sweep."""
     path = REPO_ROOT / "BENCH_shards.json"
@@ -201,22 +173,6 @@ def _recorded_shard_rate() -> Optional[Tuple[int, float]]:
     return (
         int(payload.get("total_receivers", 0)),
         float(payload.get("sharded", {}).get("receivers_per_sec", 0.0)),
-    )
-
-
-def test_engine_scaling_floor():
-    """Single-shot throughput must stay above half the recorded rate."""
-    scenario = get_scenario(SCENARIO)
-    scenario.simulate(1_000, seed=ENGINE_SEED, task=ENGINE_TASK)  # warm-up
-    seconds, _ = best_of(
-        lambda: scenario.simulate(N_RECEIVERS, seed=ENGINE_SEED, task=ENGINE_TASK)
-    )
-    rate = N_RECEIVERS / seconds
-    recorded = _recorded_engine_rate()
-    print(f"\n  engine: {rate:,.0f} receivers/s (recorded: {recorded})")
-    _check_floor(
-        "engine", rate, recorded,
-        engaged=recorded is not None and N_RECEIVERS >= recorded[0],
     )
 
 
@@ -406,32 +362,6 @@ def test_chunk_worker_parallel_smoke():
     _record_smoke("chunk_worker_parallel")
 
 
-def test_multi_round_floor():
-    """Multi-round throughput must stay above half the recorded rate."""
-    scenario = get_scenario(SCENARIO)
-    scenario.simulate(
-        1_000, seed=ROUNDS_SEED, task=ROUNDS_TASK, rounds=3, recovery_rate=ROUNDS_RECOVERY
-    )  # warm-up
-    seconds, _ = best_of(
-        lambda: scenario.simulate(
-            N_RECEIVERS,
-            seed=ROUNDS_SEED,
-            task=ROUNDS_TASK,
-            rounds=ROUNDS,
-            recovery_rate=ROUNDS_RECOVERY,
-        )
-    )
-    receiver_rounds = N_RECEIVERS * ROUNDS
-    rate = receiver_rounds / seconds
-    recorded = _recorded_rounds_rate()
-    print(f"\n  multi-round: {rate:,.0f} receiver-rounds/s (recorded: {recorded})")
-    _check_floor(
-        "multi_round", rate, recorded,
-        engaged=recorded is not None and receiver_rounds >= recorded[0],
-        unit="receiver-rounds/s",
-    )
-
-
 def test_shard_backend_floor():
     """Sharded sweep throughput must stay above half the recorded rate.
 
@@ -554,64 +484,6 @@ def test_scheduler_floor():
     )
 
 
-def _recorded_service_rate() -> Optional[Tuple[int, float]]:
-    """(requests, cached-simulate requests_per_sec) recorded for the service."""
-    path = REPO_ROOT / "BENCH_service.json"
-    if not path.exists():
-        return None
-    payload = json.loads(path.read_text())
-    return (
-        int(payload.get("requests_per_measurement", 0)),
-        float(payload.get("simulate", {}).get("cached", {}).get(
-            "requests_per_sec", 0.0
-        )),
-    )
-
-
-def test_service_cached_floor():
-    """Cache-served HTTP throughput must stay above half the recorded rate.
-
-    Re-runs the ``BENCH_service.json`` cached-simulate workload: a real
-    loopback WSGI server, one identical small-simulate request repeated,
-    every response after the first served byte-for-byte from the result
-    cache.  Bit-identity of the served responses is asserted at every
-    scale; the req/s floor engages only at the recorded request count.
-    """
-    from bench_service import N_RECEIVERS as SERVICE_N
-    from bench_service import SCENARIO as SERVICE_SCENARIO
-    from bench_service import SEED as SERVICE_SEED
-    from bench_service import TASK as SERVICE_TASK
-    from bench_service import _request, _Server
-
-    body = {
-        "scenario": SERVICE_SCENARIO,
-        "n_receivers": SERVICE_N,
-        "seed": SERVICE_SEED,
-        "task": SERVICE_TASK,
-    }
-    with _Server() as base:
-        _request(base, "GET", "/health")  # warm-up: first accept + imports
-        status, first = _request(base, "POST", "/simulate", dict(body))
-        assert status == 200 and first["cache"]["computed"] == 1
-        start = time.perf_counter()
-        for _ in range(N_SERVICE_REQUESTS):
-            status, served = _request(base, "POST", "/simulate", dict(body))
-            assert status == 200
-            assert served["cache"] == {"served": 1, "computed": 0}
-        seconds = time.perf_counter() - start
-        # The exact bytes of the first computation, every time.
-        assert served["resultset"] == first["resultset"]
-
-    rate = N_SERVICE_REQUESTS / seconds
-    recorded = _recorded_service_rate()
-    print(f"\n  service cached: {rate:,.1f} req/s (recorded: {recorded})")
-    _check_floor(
-        "service_cached", rate, recorded,
-        engaged=recorded is not None and N_SERVICE_REQUESTS >= recorded[0],
-        unit="req/s",
-    )
-
-
 def test_funnel_metrics_smoke():
     """Small-N end-to-end smoke of the per-stage funnel metrics."""
     result = get_scenario(SCENARIO).simulate(
@@ -631,15 +503,12 @@ def test_funnel_metrics_smoke():
 
 
 def main() -> None:
-    test_engine_scaling_floor()
     test_counter_mode_floor()
     test_matrix_mode_floor()
     test_recorded_counter_vs_matrix_ratio()
     test_recorded_rng_streams_acceptance()
-    test_multi_round_floor()
     test_shard_backend_floor()
     test_scheduler_floor()
-    test_service_cached_floor()
     test_chunk_worker_parallel_smoke()
     test_counter_zero_copy_smoke()
     test_funnel_metrics_smoke()

@@ -121,6 +121,7 @@ def measure_shards() -> Dict[str, object]:
         "total_receivers": total_receivers,
         "seed": SEED,
         "shard_count": SHARD_COUNT,
+        "cpu_count": os.cpu_count(),
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "serial": {
             "seconds": round(serial_seconds, 6),

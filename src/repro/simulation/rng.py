@@ -167,6 +167,33 @@ def _splitmix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
+#: xxHash64 primes and the int-hash modulus of CPython's tuple hash.
+_XXPRIME_1 = 11400714785074694791
+_XXPRIME_2 = 14029467366897019727
+_XXPRIME_5 = 2870177450012600261
+_INT_HASH_MODULUS = (1 << 61) - 1
+
+
+def _spawn_seed(seed: int, index: int) -> int:
+    """The child seed of ``SimulationRng(seed).spawn(index)``.
+
+    The value is ``hash((seed, index)) % 2**32`` as 64-bit CPython
+    computes it, spelled out as integer arithmetic so archived
+    ``rng_mode="matrix"`` rows replay on any interpreter: each
+    non-negative int hashes to itself mod 2**61 - 1, and the tuple folds
+    those lanes with the xxHash64 round, then adds its mangled length.
+    """
+    acc = _XXPRIME_5
+    for value in (seed, index):
+        acc = (acc + (value % _INT_HASH_MODULUS) * _XXPRIME_2) & _MASK64
+        acc = ((acc << 31) | (acc >> 33)) & _MASK64
+        acc = (acc * _XXPRIME_1) & _MASK64
+    acc = (acc + (2 ^ _XXPRIME_5 ^ 3527539)) & _MASK64
+    if acc == _MASK64:  # CPython reserves -1 as its error hash
+        acc = 1546275796
+    return acc % (1 << 32)
+
+
 def _stream_state(seed: int, packed: int) -> dict:
     """The frozen PCG64 state template of one (seed, packed-coords) stream.
 
@@ -216,7 +243,7 @@ class SimulationRng:
         """
         if index < 0:
             raise SimulationError("spawn index must be non-negative")
-        return SimulationRng(seed=hash((self.seed, index)) % (2**32))
+        return SimulationRng(seed=_spawn_seed(self.seed, index))
 
     def bernoulli(self, probability: float) -> bool:
         """One biased coin flip."""

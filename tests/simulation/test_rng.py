@@ -1,9 +1,29 @@
 """Tests for the deterministic simulation RNG."""
 
+import platform
+import random
+import sys
+
 import pytest
 
 from repro.core.exceptions import SimulationError
-from repro.simulation.rng import SimulationRng
+from repro.simulation.rng import SimulationRng, _spawn_seed
+
+#: ``(seed, index) -> child seed`` pairs recorded from 64-bit CPython's
+#: ``hash((seed, index)) % 2**32``, the derivation archived matrix rows
+#: were drawn with.
+RECORDED_SPAWN_SEEDS = {
+    (0, 0): 397586535,
+    (0, 1): 16979904,
+    (20080124, 0): 138252198,
+    (20080124, 3): 3192060714,
+    (20080326, 1): 254093619,
+    (12345, 7): 2841296835,
+    (2**32 - 1, 9): 2923435799,
+    (2**63 + 5, 2): 2227519245,
+}
+
+CPYTHON_64 = platform.python_implementation() == "CPython" and sys.hash_info.width == 64
 
 
 class TestDeterminism:
@@ -26,6 +46,22 @@ class TestDeterminism:
         parent2 = SimulationRng(5)
         parent2.spawn(1)
         assert parent2.spawn(3).uniform() == value_3
+
+
+class TestSpawnDerivation:
+    @pytest.mark.parametrize("coords", sorted(RECORDED_SPAWN_SEEDS))
+    def test_spawn_seed_matches_recording(self, coords):
+        assert _spawn_seed(*coords) == RECORDED_SPAWN_SEEDS[coords]
+        assert SimulationRng(coords[0]).spawn(coords[1]).seed == RECORDED_SPAWN_SEEDS[coords]
+
+    @pytest.mark.skipif(not CPYTHON_64, reason="the recorded derivation is 64-bit CPython's hash")
+    def test_spawn_seed_equals_tuple_hash(self):
+        draws = random.Random(20080124)
+        pairs = list(RECORDED_SPAWN_SEEDS) + [
+            (draws.randrange(2**64), draws.randrange(2**24)) for _ in range(2000)
+        ]
+        for seed, index in pairs:
+            assert _spawn_seed(seed, index) == hash((seed, index)) % 2**32, (seed, index)
 
 
 class TestDraws:
