@@ -30,7 +30,13 @@ from .errors import (
     ValidationFailure,
 )
 from .jobs import JOB_EVENTS_FILENAME, JobRecord, JobStore, JobWorker
-from .requests import build_experiment, predicted_run_keys, run_cost, run_with_cache
+from .requests import (
+    TaskNameMemo,
+    build_experiment,
+    predicted_run_keys,
+    run_cost,
+    run_with_cache,
+)
 from .state import ServiceConfig, ServiceState
 
 __all__ = [
@@ -50,6 +56,7 @@ __all__ = [
     "ServiceApp",
     "ServiceConfig",
     "ServiceState",
+    "TaskNameMemo",
     "ValidationFailure",
     "build_experiment",
     "create_app",

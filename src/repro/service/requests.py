@@ -17,13 +17,18 @@ admits no row recorded at any other batch size.
 plans an experiment into per-variant work units, serves any unit whose
 predicted row identities are all cached (exact first-computation bytes,
 hit-counted), and runs only the rest — so re-submitting a sweep that was
-ever computed does no engine work.
+ever computed does no engine work.  Of a unit's key parts only the
+resolved task name needs the scenario's built system; a
+:class:`TaskNameMemo` owned by the service state remembers it per point
+and requested spelling, so only the first request for a point binds the
+scenario and builds its system — a cache hit does neither.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+import threading
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.exceptions import ModelError
 from ..experiments.design import (
@@ -45,6 +50,7 @@ __all__ = [
     "validate_params",
     "build_experiment",
     "run_cost",
+    "TaskNameMemo",
     "predicted_run_keys",
     "run_with_cache",
 ]
@@ -255,18 +261,50 @@ def run_cost(experiment: Experiment) -> int:
     return cost
 
 
-def predicted_run_keys(run: VariantRun) -> List[CacheKey]:
+#: ``(scenario, variant_hash, requested task spelling)`` — what a resolved
+#: task name depends on: the point fixes the bound system, the spelling
+#: (``None``, a full name or a unique prefix) picks one of its tasks.
+TaskKey = Tuple[str, str, Optional[str]]
+
+
+class TaskNameMemo:
+    """Thread-safe memo of resolved task names, one per point and spelling.
+
+    A name enters only after it resolved against a built system, so a
+    spelling that failed (unknown, ambiguous, or a combination the binder
+    rejects) is never remembered and fails again on every repeat.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._names: Dict[TaskKey, str] = {}
+
+    def get(self, key: TaskKey) -> Optional[str]:
+        with self._lock:
+            return self._names.get(key)
+
+    def record(self, key: TaskKey, name: str) -> None:
+        with self._lock:
+            self._names.setdefault(key, name)
+
+
+def predicted_run_keys(run: VariantRun, task_names: TaskNameMemo) -> List[CacheKey]:
     """The cache keys the rows of one work unit will carry, in row order.
 
     Mirrors what :func:`~repro.experiments.runner.run_variant` records:
     the realized ``rng_mode`` / ``rounds`` are the bound parameter values
     or the engine defaults (the service never sets them at the experiment
-    level), and the task name is resolved against the built system the
-    same way the runner resolves it.
+    level).  The task name comes from ``task_names``; only on a memo miss
+    is it resolved against the built system, the same way the runner
+    resolves it, and then remembered.
     """
-    variant = get_scenario(run.scenario).bind(**dict(run.params))
-    task = variant.resolve_task(variant.system(), run.task).name
     point = variant_hash(run.scenario, run.params)
+    task_key = (run.scenario, point, run.task)
+    task = task_names.get(task_key)
+    if task is None:
+        variant = get_scenario(run.scenario).bind(**dict(run.params))
+        task = variant.resolve_task(variant.system(), run.task).name
+        task_names.record(task_key, task)
     keys: List[CacheKey] = []
     if "analyze" in run.paths:
         keys.append((point, None, None, "analytic", None, None, task))
@@ -291,20 +329,24 @@ class CachedRunOutcome:
         return {"served": self.served, "computed": self.computed}
 
 
-def run_with_cache(cache: ResultCache, experiment: Experiment) -> CachedRunOutcome:
+def run_with_cache(
+    cache: ResultCache, task_names: TaskNameMemo, experiment: Experiment
+) -> CachedRunOutcome:
     """Run an experiment, serving fully-cached variants without engine work.
 
     Per work unit: when every predicted row identity is cached, the rows
     are served from the cache (counting hits) and the variant never
-    binds, simulates, or analyzes; otherwise the unit runs, its misses
-    are counted, and its rows are stored under their recorded identity —
-    first write wins, so a racing duplicate keeps the original bytes.
+    simulates or analyzes, and binds only if ``task_names`` has not seen
+    its point yet (a server warmed from a replayed cache, say); otherwise
+    the unit runs, its misses are counted, and its rows are stored under
+    their recorded identity — first write wins, so a racing duplicate
+    keeps the original bytes.
     """
     served = 0
     computed = 0
     payloads: List[Dict[str, Any]] = []
     for run in plan_runs(experiment):
-        keys = predicted_run_keys(run)
+        keys = predicted_run_keys(run, task_names)
         if keys and all(cache.peek(key) for key in keys):
             for key in keys:
                 payload = cache.serve(key)

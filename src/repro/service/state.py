@@ -3,6 +3,8 @@
 One :class:`ServiceState` backs every router: the content-keyed
 :class:`~repro.service.cache.ResultCache` (persisted as a
 ``service-cache.jsonl`` stream inside the data directory), the
+:class:`~repro.service.requests.TaskNameMemo` that lets a cache hit
+compute its key without building the scenario system, the
 :class:`~repro.service.jobs.JobStore` ledger under ``data_dir/jobs/``,
 and the :class:`~repro.service.jobs.JobWorker` that executes async
 sweeps through the ordinary experiment machinery — a
@@ -26,13 +28,14 @@ from ..experiments.results import ResultSet
 from ..experiments.runner import plan_runs
 from ..io.experiments_io import result_row_from_dict, result_row_to_dict
 from ..io.shards import ShardLogWriter, load_checkpoint, shard_filename
+from . import requests as service_requests
 from .cache import CACHE_FILENAME, ResultCache
 from .errors import BadRequestError
 from .jobs import JobRecord, JobStore, JobWorker
 from .requests import (
     CachedRunOutcome,
+    TaskNameMemo,
     build_experiment,
-    predicted_run_keys,
     run_with_cache,
 )
 
@@ -66,6 +69,7 @@ class ServiceState:
         root.mkdir(parents=True, exist_ok=True)
         cache_path = root / CACHE_FILENAME if config.persist_cache else None
         self.cache = ResultCache(cache_path)
+        self.task_names = TaskNameMemo()
         self.jobs = JobStore(root / "jobs")
         self.worker = JobWorker(
             self.jobs, self._execute_job, threaded=config.threaded_worker
@@ -98,7 +102,10 @@ class ServiceState:
         job_dir = self.jobs.job_dir(job_id)
 
         runs = plan_runs(experiment)
-        predicted = [predicted_run_keys(run) for run in runs]
+        predicted = [
+            service_requests.predicted_run_keys(run, self.task_names)
+            for run in runs
+        ]
         if predicted and all(
             self.cache.peek(key) for keys in predicted for key in keys
         ):
@@ -172,7 +179,7 @@ class ServiceState:
     # -- inline execution (routers call through for shared accounting) -----------
 
     def run_inline(self, experiment: Experiment) -> CachedRunOutcome:
-        return run_with_cache(self.cache, experiment)
+        return run_with_cache(self.cache, self.task_names, experiment)
 
     # -- lifecycle ---------------------------------------------------------------
 

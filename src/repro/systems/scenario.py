@@ -256,6 +256,18 @@ class Scenario(_ScenarioPaths):
     default_task: Optional[str] = None
     parameters: ParameterSpace = dataclasses.field(default_factory=ParameterSpace)
     binder: Optional[ScenarioBinder] = None
+    _parameter_space: ParameterSpace = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # Parameters and spaces are never mutated, so the merged space is
+        # built once here and shared by every validate/bind call.
+        object.__setattr__(
+            self,
+            "_parameter_space",
+            self.parameters.merged(common_parameter_space()),
+        )
 
     # -- components --------------------------------------------------------------
 
@@ -270,7 +282,7 @@ class Scenario(_ScenarioPaths):
 
     def parameter_space(self) -> ParameterSpace:
         """The scenario's own parameters followed by the common ones."""
-        return self.parameters.merged(common_parameter_space())
+        return self._parameter_space
 
     def variant_hash(self) -> str:
         """The identity hash of this scenario with no overrides bound."""

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import concurrent.futures
+import json
+import sys
+import threading
 from pathlib import Path
+
+import pytest
 
 import repro.experiments.runner as runner_module
 import repro.service.requests as service_requests
+import repro.systems.passwords as passwords_module
 from repro.experiments import Experiment, VariantSpec
 from repro.experiments.results import WALL_CLOCK_METRICS
 from repro.io.eventlog import read_events
@@ -174,6 +180,63 @@ class TestCacheBitIdentity:
         assert row_first["variant_hash"] == row_second["variant_hash"]
         assert row_first["task"] != row_second["task"]
 
+    def test_task_spellings_of_one_task_share_one_computation(self, app):
+        # Omitted, full name and unique prefix resolve to the same task, so
+        # they are one cache key: only the first request computes.
+        base = {"scenario": "passwords", "n_receivers": 20, "seed": 9}
+        status, first = app.handle("POST", "/simulate", body=dict(base))
+        assert status == 200
+        assert first["cache"] == {"served": 0, "computed": 1}
+        full_name = first["resultset"]["rows"][0]["task"]
+        assert full_name.startswith("create-")
+        for spelling in (full_name, "create"):
+            status, again = app.handle(
+                "POST", "/simulate", body={**base, "task": spelling}
+            )
+            assert status == 200
+            assert again["cache"] == {"served": 1, "computed": 0}
+            assert again["resultset"] == first["resultset"]
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            # "re" prefixes both recall-passwords and refrain-from-sharing.
+            ("/simulate", {"scenario": "passwords", "task": "re"}),
+            ("/simulate", {"scenario": "passwords", "task": "no-such-task"}),
+            ("/analyze", {"scenario": "passwords", "task": "re"}),
+            # Each value is valid alone; the binder rejects the combination.
+            (
+                "/simulate",
+                {
+                    "scenario": "antiphishing",
+                    "params": {"variant": "no_warning", "activeness": 0.5},
+                },
+            ),
+            (
+                "/analyze",
+                {
+                    "scenario": "antiphishing",
+                    "params": {"variant": "no_warning", "activeness": 0.5},
+                },
+            ),
+        ],
+    )
+    def test_unresolvable_task_or_binding_fails_on_every_repeat(
+        self, app, service_state, path, body
+    ):
+        common = {"n_receivers": 20, "seed": 9} if path == "/simulate" else {}
+        if "task" in body:
+            # Warm the point under its default task first: a failed spelling
+            # must not borrow the memoised name of a spelling that resolved.
+            warm = {name: value for name, value in body.items() if name != "task"}
+            status, _ = app.handle("POST", path, body={**warm, **common})
+            assert status == 200
+        before = service_state.cache.stats()
+        for _ in range(3):
+            status, payload = app.handle("POST", path, body={**body, **common})
+            assert status == 422, payload
+        assert service_state.cache.stats() == before
+
 
 class TestCacheAdmission:
     """Nothing the first-write-wins cache would serve wrongly may enter it."""
@@ -264,6 +327,107 @@ class TestAnalyze:
         assert status == 400
 
 
+class TestHitsDoNoBinding:
+    """A warm point's key comes from the task-name memo, not a built system."""
+
+    BODY = {"scenario": "passwords", "n_receivers": 20, "seed": 5}
+
+    @staticmethod
+    def _forbid_binding(monkeypatch):
+        def forbidden(policy):
+            raise AssertionError("a scenario system was built on a cache hit")
+
+        monkeypatch.setattr(passwords_module, "build_system_for", forbidden)
+
+    @staticmethod
+    def _counts(app):
+        cache = app.handle("GET", "/health")[1]["cache"]
+        return cache["hits"], cache["misses"]
+
+    @staticmethod
+    def _canonical_bytes(payload):
+        return json.dumps(payload, sort_keys=True)
+
+    def _assert_hit(self, app, path, body, first, key, served):
+        hits, misses = self._counts(app)
+        status, again = wsgi_call(app, "POST", path, body)
+        assert status == 200, again
+        assert again["cache"] == {"served": served, "computed": 0}
+        assert self._canonical_bytes(again[key]) == self._canonical_bytes(first[key])
+        assert self._counts(app) == (hits + served, misses)
+
+    def test_repeated_simulate(self, app, monkeypatch):
+        status, first = wsgi_call(app, "POST", "/simulate", self.BODY)
+        assert status == 200 and first["cache"]["computed"] == 1
+        self._forbid_binding(monkeypatch)
+        self._assert_hit(app, "/simulate", self.BODY, first, "resultset", 1)
+
+    def test_repeated_analyze(self, app, monkeypatch):
+        body = {"scenario": "passwords", "params": {"single_sign_on": True}}
+        status, first = wsgi_call(app, "POST", "/analyze", body)
+        assert status == 200 and first["cache"]["computed"] == 1
+        self._forbid_binding(monkeypatch)
+        self._assert_hit(app, "/analyze", body, first, "row", 1)
+
+    def test_fully_cached_sweep(self, app, monkeypatch):
+        body = {**self.BODY, "grid": {"single_sign_on": [False, True]}}
+        status, first = wsgi_call(app, "POST", "/sweep", body)
+        assert status == 200 and first["cache"]["computed"] == 2
+        self._forbid_binding(monkeypatch)
+        self._assert_hit(app, "/sweep", body, first, "resultset", 2)
+
+    def test_fully_cached_detached_job(self, app, service_state, monkeypatch):
+        body = {**self.BODY, "grid": {"single_sign_on": [False, True]}}
+        status, first = wsgi_call(app, "POST", "/sweep", body)
+        assert status == 200 and first["cache"]["computed"] == 2
+        self._forbid_binding(monkeypatch)
+        hits, misses = self._counts(app)
+        status, submitted = wsgi_call(
+            app, "POST", "/sweep", {**body, "detach": True}
+        )
+        assert status == 202
+        assert service_state.run_pending_jobs() == 1
+        job_id = submitted["job"]["job_id"]
+        job = app.handle("GET", f"/jobs/{job_id}")[1]["job"]
+        assert job["status"] == "done", job["error"]
+        assert job["summary"]["from_cache"] is True
+        assert self._counts(app) == (hits + 2, misses)
+        status, result = wsgi_call(app, "GET", f"/results/{job_id}")
+        assert status == 200
+
+        def by_hash(rows):
+            ordered = sorted(rows, key=lambda row: row["variant_hash"])
+            return [self._canonical_bytes(row) for row in ordered]
+
+        assert by_hash(result["resultset"]["rows"]) == by_hash(
+            first["resultset"]["rows"]
+        )
+
+    def test_replayed_row_is_a_hit_with_a_cold_memo(self, tmp_path, monkeypatch):
+        config = ServiceConfig(
+            data_dir=str(tmp_path / "service"), threaded_worker=False
+        )
+        state = ServiceState(config)
+        try:
+            status, first = wsgi_call(
+                create_app(state=state), "POST", "/simulate", self.BODY
+            )
+            assert status == 200 and first["cache"]["computed"] == 1
+        finally:
+            state.close()
+
+        restarted = ServiceState(config)
+        try:
+            app = create_app(state=restarted)
+            # The memo starts cold: the first hit resolves the task once...
+            self._assert_hit(app, "/simulate", self.BODY, first, "resultset", 1)
+            # ...and the next one needs no binding at all.
+            self._forbid_binding(monkeypatch)
+            self._assert_hit(app, "/simulate", self.BODY, first, "resultset", 1)
+        finally:
+            restarted.close()
+
+
 class TestConcurrentInlineRequests:
     """Threaded clients get, and cache, exactly the serial bits."""
 
@@ -285,6 +449,15 @@ class TestConcurrentInlineRequests:
             "n_receivers": 10_000,
             "seed": seed,
         }
+
+    @staticmethod
+    def _without_clock(row):
+        metrics = {
+            name: value
+            for name, value in row["metrics"].items()
+            if name not in WALL_CLOCK_METRICS
+        }
+        return {**row, "metrics": metrics}
 
     def test_threads_equal_serial_and_cache_only_correct_rows(self, tmp_path):
         serial_state = self._state(tmp_path, "serial")
@@ -322,16 +495,8 @@ class TestConcurrentInlineRequests:
                 assert payload["cache"] == {"served": 0, "computed": 1}
                 assert canonical(payload) == canonical(serial[seed])
 
-            def without_clock(row):
-                metrics = {
-                    name: value
-                    for name, value in row["metrics"].items()
-                    if name not in WALL_CLOCK_METRICS
-                }
-                return {**row, "metrics": metrics}
-
             expected = {
-                tuple(row_cache_key(row)): without_clock(row)
+                tuple(row_cache_key(row)): self._without_clock(row)
                 for payload in serial.values()
                 for row in payload["resultset"]["rows"]
             }
@@ -340,7 +505,72 @@ class TestConcurrentInlineRequests:
             assert len(cached) == len(self.SEEDS)
             for event in cached:
                 key = tuple(event["key"])
-                assert without_clock(event["payload"]) == expected[key]
+                assert self._without_clock(event["payload"]) == expected[key]
+        finally:
+            serial_state.close()
+            threaded_state.close()
+
+    def test_threads_racing_on_one_cold_point_count_exactly(self, tmp_path):
+        # Every request shares one point (the seed is not part of it) and
+        # each seed is sent three times.  The first four requests start
+        # together on a cold service: they resolve the point's task while
+        # the memo is still empty, and three of them race on one cache key.
+        seeds = list(self.SEEDS)[:4]
+        bodies = [self._body(seed) for seed in seeds for _ in range(3)]
+        serial_state = self._state(tmp_path, "serial")
+        threaded_state = self._state(tmp_path, "threaded")
+        try:
+            serial_app = create_app(state=serial_state)
+            serial = {}
+            for seed in seeds:
+                status, payload = wsgi_call(
+                    serial_app, "POST", "/simulate", self._body(seed)
+                )
+                assert status == 200
+                serial[seed] = payload
+
+            app = create_app(state=threaded_state)
+            workers = 4
+            start = threading.Barrier(workers)
+
+            def send(index):
+                if index < workers:
+                    start.wait(timeout=30)
+                return wsgi_call(app, "POST", "/simulate", bodies[index])
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the racing threads finely
+            try:
+                with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+                    responses = list(pool.map(send, range(len(bodies))))
+            finally:
+                sys.setswitchinterval(interval)
+
+            def canonical(payload):
+                return resultset_from_dict(payload["resultset"]).canonical_dict()
+
+            served = computed = 0
+            for body, (status, payload) in zip(bodies, responses):
+                assert status == 200, payload
+                assert canonical(payload) == canonical(serial[body["seed"]])
+                served += payload["cache"]["served"]
+                computed += payload["cache"]["computed"]
+            assert served + computed == len(bodies)
+            stats = threaded_state.cache.stats()
+            assert (stats["hits"], stats["misses"]) == (served, computed)
+            assert stats["entries"] == len(seeds)
+
+            expected = {
+                tuple(row_cache_key(row)): self._without_clock(row)
+                for payload in serial.values()
+                for row in payload["resultset"]["rows"]
+            }
+            stream = Path(threaded_state.config.data_dir) / CACHE_FILENAME
+            cached = read_events(stream)
+            assert len(cached) == len(seeds)
+            for event in cached:
+                key = tuple(event["key"])
+                assert self._without_clock(event["payload"]) == expected[key]
         finally:
             serial_state.close()
             threaded_state.close()
