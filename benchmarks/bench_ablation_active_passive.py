@@ -29,7 +29,6 @@ import pytest
 from repro.core.probabilities import habituation_factor
 from repro.experiments import Experiment, ResultSet, SweepSpec
 from repro.simulation.habituation import simulate_exposure_series
-from repro.simulation.rng import SimulationRng
 from repro.systems import antiphishing
 
 ACTIVENESS_SWEEP = (0.1, 0.35, 0.6, 0.8, 1.0)
@@ -80,7 +79,7 @@ def test_ablation_habituation_penalty(benchmark, record):
         profile: Dict[str, float] = {}
         for label, communication in (("passive", passive), ("blocking", blocking)):
             series = simulate_exposure_series(
-                communication, exposures=30, rng=SimulationRng(SEED)
+                communication, exposures=30, seed=SEED
             )
             profile[f"{label}.initial_notice"] = series[0].notice_probability
             profile[f"{label}.final_notice"] = series[-1].notice_probability

@@ -36,7 +36,6 @@ from repro.core import (
     advise,
 )
 from repro.simulation.habituation import simulate_exposure_series
-from repro.simulation.rng import SimulationRng
 from repro.systems import antiphishing, get_scenario, ssl_indicators
 
 
@@ -54,7 +53,7 @@ def trace_habituation() -> None:
     header = "exposure".ljust(34) + "".join(f"{index:>8d}" for index in checkpoints)
     print(header)
     for label, communication in communications.items():
-        series = simulate_exposure_series(communication, exposures=30, rng=SimulationRng(7))
+        series = simulate_exposure_series(communication, exposures=30, seed=7)
         row = label.ljust(34)
         for index in checkpoints:
             row += f"{series[index].notice_probability:8.2f}"

@@ -56,15 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--base",
         default="{}",
-        help="JSON object of fixed parameter overrides applied to every point",
+        help=(
+            "JSON object of fixed parameter overrides applied to every point, "
+            'engine knobs included (e.g. \'{"rounds": 3}\')'
+        ),
     )
     run.add_argument("--name", default=None, help="experiment name (default: derived)")
     run.add_argument("--n-receivers", type=int, default=500)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--task", default=None)
     run.add_argument("--mode", default="batch", choices=("batch", "reference"))
-    run.add_argument("--rounds", type=int, default=None)
-    run.add_argument("--recovery-rate", type=float, default=None)
     run.add_argument("--shards", type=int, required=True, help="shard count")
     run.add_argument(
         "--workers", type=int, default=None, help="concurrent worker processes"
@@ -153,10 +154,6 @@ def _run(args: argparse.Namespace) -> int:
     settings = dict(n_receivers=args.n_receivers, seed=args.seed, mode=args.mode)
     if args.task is not None:
         settings["task"] = args.task
-    if args.rounds is not None:
-        settings["rounds"] = args.rounds
-    if args.recovery_rate is not None:
-        settings["recovery_rate"] = args.recovery_rate
     name = args.name or f"{args.scenario}-cluster-sweep"
     experiment = Experiment.from_sweep(name, sweep, **settings)
 

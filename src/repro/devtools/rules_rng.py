@@ -139,6 +139,6 @@ class NoAmbientRng(Rule):
                         file,
                         node,
                         f"stdlib random.{tail} is outside the seeded "
-                        "simulation substrate; use SimulationRng / "
-                        "CounterDraws or a SeedSequence-derived generator",
+                        "simulation substrate; draw through a DrawSource "
+                        "(CounterDraws) or a SeedSequence-derived generator",
                     )

@@ -21,9 +21,9 @@ run it* — any object satisfying the :class:`ExecutionBackend` protocol:
 
 :func:`resume_experiment` (surfaced as :meth:`Experiment.resume`) closes
 the loop: it loads every shard file in a checkpoint directory, validates
-the headers against the experiment, runs only the rows that are missing,
-and returns the full canonical :class:`ResultSet` — identical to an
-uninterrupted serial run.
+the headers and every row it would serve against the experiment, runs
+only the rows that are missing, and returns the full canonical
+:class:`ResultSet` — identical to an uninterrupted serial run.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ from ..io.shards import (
     load_checkpoint,
     shard_filename,
 )
+from ..simulation.engine import SimulationConfig
 from ..systems.scenario import variant_hash as compute_variant_hash
 from .design import Experiment
 from .results import ExperimentError, ResultRow, ResultSet
-from .runner import VariantRun, plan_runs, run_variant
+from .runner import VariantRun, plan_runs, resolved_task_name, run_variant
 
 __all__ = [
     "ExecutionBackend",
@@ -288,11 +289,48 @@ def _validate_header(
         )
 
 
+#: The ``batch_size`` a row records when its experiment leaves it unset.
+_ENGINE_DEFAULT_BATCH_SIZE = int(
+    SimulationConfig.__dataclass_fields__["batch_size"].default  # type: ignore[arg-type]
+)
+
+
+def _validate_row(
+    row: ResultRow, run: VariantRun, task: str, path: Path
+) -> None:
+    """Reject a checkpointed row its work unit would not have produced.
+
+    ``row_key`` pins only the variant's label, parameters and mode, so a
+    row recorded under another seed, size, chunking or task would
+    otherwise be served as this experiment's result.
+    """
+    expected: Dict[str, Any] = {"task": task}
+    if row.simulated:
+        expected["seed"] = run.seed
+        expected["n_receivers"] = run.n_receivers
+        expected["batch_size"] = run.batch_size or _ENGINE_DEFAULT_BATCH_SIZE
+    for name, wanted in expected.items():
+        found = getattr(row, name)
+        if found != wanted:
+            raise ExperimentError(
+                f"shard file {str(path)!r} belongs to a different experiment: "
+                f"row {row.variant!r} (mode {row.mode!r}) has {name} {found!r}, "
+                f"experiment has {wanted!r}"
+            )
+
+
 def _load_completed(
     entries: Sequence[Tuple[Path, Optional[Mapping[str, Any]], Sequence[ResultRow]]],
     experiment: Experiment,
 ) -> Dict[Tuple[str, str, str], ResultRow]:
-    """Index checkpointed rows by identity, rejecting clashes across files."""
+    """Index checkpointed rows by identity, rejecting clashes across files.
+
+    Every row a work unit would serve is checked against that unit before
+    anything runs (:func:`_validate_row`), so a mismatch raises before a
+    single row is appended.
+    """
+    units = {key: run for run in plan_runs(experiment) for key in _expected_row_keys(run)}
+    tasks: Dict[int, str] = {}
     completed: Dict[Tuple[str, str, str], ResultRow] = {}
     origin: Dict[Tuple[str, str, str], Path] = {}
     for path, header, rows in entries:
@@ -306,6 +344,11 @@ def _load_completed(
                     f"checkpoint clash: row {row.variant!r} (mode {row.mode!r}) "
                     f"appears in both {str(origin[key])!r} and {str(path)!r}"
                 )
+            run = units.get(key)
+            if run is not None:
+                if run.variant_index not in tasks:
+                    tasks[run.variant_index] = resolved_task_name(run)
+                _validate_row(row, run, tasks[run.variant_index], path)
             completed[key] = row
             origin[key] = path
     return completed
@@ -372,11 +415,11 @@ def resume_experiment(experiment: Experiment, checkpoint_dir: str) -> ResultSet:
     """Complete an interrupted or partially-sharded run from its checkpoints.
 
     Loads every shard file in ``checkpoint_dir`` (validating each header
-    against the experiment and rejecting row clashes across files), runs
-    only the variants with rows still missing — appending what it
-    computes to ``resume.jsonl`` in the same append-only format — and
-    returns the full canonical :class:`ResultSet`, bit-identical to an
-    uninterrupted serial run.
+    and each row against the experiment and rejecting row clashes across
+    files), runs only the variants with rows still missing — appending
+    what it computes to ``resume.jsonl`` in the same append-only format —
+    and returns the full canonical :class:`ResultSet`, bit-identical to
+    an uninterrupted serial run.
     """
     directory = Path(checkpoint_dir)
     if not directory.is_dir():

@@ -135,15 +135,13 @@ class Experiment:
     variants:
         The parameter points to run (see :meth:`from_sweep` for grids).
     n_receivers / seed / mode / batch_size:
-        Simulation settings, applied to every variant.
-    rounds / recovery_rate / dismiss_weight / heed_weight / trace:
-        Engine settings applied to every variant (``None`` keeps each
-        variant's own bound value, or the engine default).  The weights
-        couple habituation accrual to realized outcomes (see
-        :func:`repro.simulation.habituation.advance_exposures`); ``trace``
-        toggles the per-stage funnel tallies.  To *sweep* any of them,
-        put them on a grid axis instead — they are common scenario
-        parameters.
+        Simulation settings, applied to every variant.  Engine knobs
+        (``rounds``, ``recovery_rate``, ``dismiss_weight``,
+        ``heed_weight``, ``trace``, ...) are common scenario parameters
+        and are set only through each variant's ``params`` — a sweep's
+        ``base`` to fix one for every point, a grid axis to sweep it — so
+        they are validated by the scenario's parameter space and belong
+        to every row's identity.
     paths:
         Which framework readings to run per variant: ``("simulate",)``
         (default), ``("analyze",)``, or both.
@@ -165,11 +163,6 @@ class Experiment:
     task: Optional[str] = None
     batch_size: Optional[int] = None
     seed_strategy: str = "per-variant"
-    rounds: Optional[int] = None
-    recovery_rate: Optional[float] = None
-    dismiss_weight: Optional[float] = None
-    heed_weight: Optional[float] = None
-    trace: Optional[bool] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variants", tuple(self.variants))
@@ -193,30 +186,6 @@ class Experiment:
             raise ExperimentError(
                 f"seed_strategy must be one of {SEED_STRATEGIES}, got {self.seed_strategy!r}"
             )
-        if self.rounds is not None and self.rounds < 1:
-            raise ExperimentError("rounds must be >= 1")
-        if self.recovery_rate is not None and not 0.0 <= self.recovery_rate <= 1.0:
-            raise ExperimentError("recovery_rate must be in [0, 1]")
-        for name in ("dismiss_weight", "heed_weight"):
-            value = getattr(self, name)
-            if value is not None and value < 0.0:
-                raise ExperimentError(f"{name} must be non-negative")
-        # An experiment-level engine setting would silently override the
-        # same knob bound or swept per variant, leaving rows whose params
-        # contradict the realized run — reject the collision eagerly.
-        for name in ("rounds", "recovery_rate", "dismiss_weight", "heed_weight", "trace"):
-            if getattr(self, name) is None:
-                continue
-            clashing = sorted(
-                variant.resolved_label()
-                for variant in self.variants
-                if name in variant.params
-            )
-            if clashing:
-                raise ExperimentError(
-                    f"{name} is set on the experiment and bound by variants "
-                    f"{clashing}; set it in one place only"
-                )
         counts = collections.Counter(
             variant.resolved_label() for variant in self.variants
         )

@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # deferred: backends imports this module
 __all__ = [
     "VariantRun",
     "plan_runs",
+    "resolved_task_name",
     "run_variant",
     "execute",
     "WALL_CLOCK_METRICS",  # canonical home: repro.experiments.results
@@ -49,11 +50,6 @@ class VariantRun:
     paths: Tuple[str, ...]
     task: Optional[str] = None
     batch_size: Optional[int] = None
-    rounds: Optional[int] = None
-    recovery_rate: Optional[float] = None
-    dismiss_weight: Optional[float] = None
-    heed_weight: Optional[float] = None
-    trace: Optional[bool] = None
     variant_index: int = 0
 
 
@@ -71,15 +67,16 @@ def plan_runs(experiment: Experiment) -> List[VariantRun]:
             paths=experiment.paths,
             task=experiment.task,
             batch_size=experiment.batch_size,
-            rounds=experiment.rounds,
-            recovery_rate=experiment.recovery_rate,
-            dismiss_weight=experiment.dismiss_weight,
-            heed_weight=experiment.heed_weight,
-            trace=experiment.trace,
             variant_index=index,
         )
         for index, variant in enumerate(experiment.variants)
     ]
+
+
+def resolved_task_name(run: VariantRun) -> str:
+    """The task name the rows of a work unit record (binds the variant)."""
+    variant = get_scenario(run.scenario).bind(**dict(run.params))
+    return variant.resolve_task(variant.system(), run.task).name
 
 
 def _simulation_metrics(result: SimulationResult) -> Dict[str, float]:
@@ -146,11 +143,8 @@ def run_variant(run: VariantRun) -> List[ResultRow]:
 
     if "simulate" in run.paths:
         overrides: Dict[str, Any] = {}
-        for name in ("batch_size", "rounds", "recovery_rate", "dismiss_weight",
-                     "heed_weight", "trace"):
-            value = getattr(run, name)
-            if value is not None:
-                overrides[name] = value
+        if run.batch_size is not None:
+            overrides["batch_size"] = run.batch_size
         result = variant.simulate(
             run.n_receivers, seed=run.seed, task=run.task, mode=run.mode, **overrides
         )

@@ -39,7 +39,7 @@ from ..experiments.design import (
     VariantSpec,
 )
 from ..experiments.results import ExperimentError, ResultSet
-from ..experiments.runner import VariantRun, plan_runs, run_variant
+from ..experiments.runner import VariantRun, plan_runs, resolved_task_name, run_variant
 from ..io.experiments_io import result_row_from_dict, result_row_to_dict
 from ..simulation.engine import SIMULATION_MODES, SimulationConfig
 from ..systems.scenario import get_scenario, variant_hash
@@ -293,24 +293,23 @@ def predicted_run_keys(run: VariantRun, task_names: TaskNameMemo) -> List[CacheK
 
     Mirrors what :func:`~repro.experiments.runner.run_variant` records:
     the realized ``rng_mode`` / ``rounds`` are the bound parameter values
-    or the engine defaults (the service never sets them at the experiment
-    level).  The task name comes from ``task_names``; only on a memo miss
-    is it resolved against the built system, the same way the runner
-    resolves it, and then remembered.
+    or the engine defaults (engine knobs live only in ``params``).  The
+    task name comes from ``task_names``; only on a memo miss is it
+    resolved against the built system, the same way the runner resolves
+    it, and then remembered.
     """
     point = variant_hash(run.scenario, run.params)
     task_key = (run.scenario, point, run.task)
     task = task_names.get(task_key)
     if task is None:
-        variant = get_scenario(run.scenario).bind(**dict(run.params))
-        task = variant.resolve_task(variant.system(), run.task).name
+        task = resolved_task_name(run)
         task_names.record(task_key, task)
     keys: List[CacheKey] = []
     if "analyze" in run.paths:
         keys.append((point, None, None, "analytic", None, None, task))
     if "simulate" in run.paths:
         rng_mode = run.params.get("rng_mode") or _ENGINE_DEFAULT_RNG_MODE
-        rounds = run.params.get("rounds") or run.rounds or _ENGINE_DEFAULT_ROUNDS
+        rounds = run.params.get("rounds") or _ENGINE_DEFAULT_ROUNDS
         keys.append(
             (point, run.seed, run.n_receivers, run.mode, rng_mode, int(rounds), task)
         )

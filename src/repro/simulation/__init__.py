@@ -16,7 +16,7 @@ Layering (shared with the analytic path in :mod:`repro.core`):
   call, the counter streams the engine draws from, and the matrix replay
   adapter that keeps archived rows reproducible.
 * :mod:`repro.simulation.population` describes receiver populations and
-  samples them either one receiver at a time or as trait arrays.
+  samples them as trait arrays from a draw source.
 * :mod:`repro.simulation.batch` draws whole batches through one draw
   path and advances them through the pipeline vectorized (one model call
   per stage per batch).
@@ -63,10 +63,8 @@ from .population import (
     general_web_population,
     organization_population,
 )
-from .rng import SimulationRng
 
 __all__ = [
-    "SimulationRng",
     "TraitDistribution",
     "TraitSamples",
     "TRAIT_NAMES",

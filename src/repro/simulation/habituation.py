@@ -13,7 +13,8 @@ The static habituation factor lives in
   (possibly fractional) exposures per communication, with partial recovery
   of attention during exposure-free gaps — plus
   :func:`simulate_exposure_series`, the single-receiver decay trace used by
-  the active-vs-passive ablation benchmark, and
+  the active-vs-passive ablation benchmark (its notice outcomes read one
+  seeded :func:`numpy.random.default_rng` uniform per exposure), and
 * the vectorized :func:`initial_exposures` / :func:`advance_exposures`
   pair consumed by the multi-round batch engine
   (:meth:`repro.simulation.engine.HumanLoopSimulator.simulate_task` with
@@ -41,7 +42,6 @@ from ..core.exceptions import SimulationError
 from ..core.impediments import Environment
 from ..core.probabilities import attention_switch_probability, habituation_factor
 from ..core.receiver import HumanReceiver, typical_receiver
-from .rng import SimulationRng
 
 __all__ = [
     "HabituationState",
@@ -131,7 +131,7 @@ def simulate_exposure_series(
     environment: Optional[Environment] = None,
     receiver: Optional[HumanReceiver] = None,
     exposures: int = 20,
-    rng: Optional[SimulationRng] = None,
+    seed: int = 0,
     recovery_rate: float = 0.0,
     dismiss_weight: float = 1.0,
     heed_weight: float = 1.0,
@@ -153,12 +153,17 @@ def simulate_exposure_series(
     the receiver noticed accrues ``heed_weight``, one they looked straight
     past accrues ``dismiss_weight``.  Unit weights (the default) reproduce
     the delivery-only series exactly.
+
+    Exposure ``k`` is noticed when the ``k``-th uniform of
+    ``numpy.random.default_rng(seed)`` falls below its notice probability.
     """
     if exposures < 0:
         raise SimulationError("exposures must be non-negative")
+    if seed < 0:
+        raise SimulationError("seed must be non-negative")
     environment = environment or Environment.typical_desktop()
     receiver = receiver or typical_receiver()
-    rng = rng or SimulationRng(0)
+    uniforms = np.random.default_rng(seed).random(exposures)
     state = HabituationState(recovery_rate=recovery_rate)
 
     series: List[ExposurePoint] = []
@@ -167,7 +172,7 @@ def simulate_exposure_series(
         probability = attention_switch_probability(
             communication, environment, receiver, exposures=count
         )
-        noticed = rng.bernoulli(probability)
+        noticed = bool(uniforms[index] < probability)
         series.append(
             ExposurePoint(exposure_index=index, notice_probability=probability, noticed=noticed)
         )

@@ -6,10 +6,9 @@ whom have little or no knowledge about phishing"; "complete novice through
 security expert").  The user studies it cites measured real populations; we
 substitute synthetic ones.  A :class:`PopulationSpec` describes the
 distribution of every receiver trait the framework consumes, and
-:meth:`PopulationSpec.sample` draws a concrete
-:class:`~repro.core.receiver.HumanReceiver` from it, while
 :meth:`PopulationSpec.sample_traits` draws a whole batch as trait arrays
-from any :class:`~repro.simulation.rng.DrawSource` (the engine's path).
+from a :class:`~repro.simulation.rng.DrawSource` — the one way to sample
+a population.
 
 Preset populations:
 
@@ -24,28 +23,16 @@ Preset populations:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..core.exceptions import SimulationError
-from ..core.receiver import (
-    AttitudesBeliefs,
-    Capabilities,
-    Demographics,
-    EducationLevel,
-    HumanReceiver,
-    Intentions,
-    KnowledgeExperience,
-    Motivation,
-    PersonalVariables,
-)
 from .rng import (
     AGE_STREAMS,
     TRAINED_STREAM,
     DrawBuffers,
     DrawSource,
-    SimulationRng,
     trait_streams,
 )
 
@@ -76,9 +63,6 @@ class TraitDistribution:
             )
         if self.std < 0:
             raise SimulationError("std must be non-negative")
-
-    def sample(self, rng: SimulationRng) -> float:
-        return rng.truncated_normal(self.mean, self.std, self.low, self.high)
 
 
 # Trait names accepted by PopulationSpec, with library-wide defaults.
@@ -177,59 +161,6 @@ class PopulationSpec:
             raise SimulationError(f"unknown trait {trait!r}")
         updated[trait] = distribution
         return dataclasses.replace(self, traits=updated)
-
-    def sample(self, rng: SimulationRng, name: str = "") -> HumanReceiver:
-        """Draw one receiver from the population."""
-        draw = {trait: self.distribution(trait).sample(rng) for trait in _DEFAULT_TRAITS}
-        age = int(round(rng.truncated_normal(self.mean_age, self.age_spread, 18, 90)))
-        trained = rng.bernoulli(self.training_fraction)
-        return HumanReceiver(
-            name=name or f"{self.name}-member",
-            personal_variables=PersonalVariables(
-                demographics=Demographics(age=age, education=EducationLevel.UNDERGRADUATE),
-                knowledge=KnowledgeExperience(
-                    security_knowledge=draw["security_knowledge"],
-                    domain_knowledge=draw["domain_knowledge"],
-                    computer_proficiency=draw["computer_proficiency"],
-                    prior_exposure=draw["prior_exposure"],
-                    has_received_training=trained,
-                ),
-            ),
-            intentions=Intentions(
-                attitudes=AttitudesBeliefs(
-                    trust=draw["trust"],
-                    perceived_relevance=draw["perceived_relevance"],
-                    risk_perception=draw["risk_perception"],
-                    self_efficacy=draw["self_efficacy"],
-                    response_efficacy=draw["response_efficacy"],
-                    perceived_time_cost=draw["perceived_time_cost"],
-                    annoyance=draw["annoyance"],
-                ),
-                motivation=Motivation(
-                    conflicting_goals=draw["conflicting_goals"],
-                    primary_task_pressure=draw["primary_task_pressure"],
-                    perceived_consequences=draw["perceived_consequences"],
-                    incentives=draw["incentives"],
-                    disincentives=draw["disincentives"],
-                    convenience_cost=draw["convenience_cost"],
-                ),
-            ),
-            capabilities=Capabilities(
-                knowledge_to_act=draw["knowledge_to_act"],
-                cognitive_skill=draw["cognitive_skill"],
-                physical_skill=draw["physical_skill"],
-                memory_capacity=draw["memory_capacity"],
-            ),
-        )
-
-    def sample_many(self, count: int, rng: SimulationRng) -> List[HumanReceiver]:
-        """Draw ``count`` receivers, each from an independent child stream."""
-        if count < 0:
-            raise SimulationError("count must be non-negative")
-        return [
-            self.sample(rng.spawn(index), name=f"{self.name}-{index}")
-            for index in range(count)
-        ]
 
     def sample_traits(
         self,

@@ -4,11 +4,6 @@ All stochastic behaviour in the simulation flows through sources created
 from an explicit seed, so every experiment in the benchmark harness is
 exactly reproducible:
 
-* :class:`SimulationRng` — the sequential source.  Wraps
-  :class:`numpy.random.Generator` and adds the scalar draws the
-  per-receiver helpers need (Bernoulli trials, truncated normals,
-  independent child streams).  Draw *order* matters: the k-th value
-  depends on the k-1 draws before it.
 * :class:`DrawSource` — what the engine's draw functions
   (:func:`~repro.simulation.batch.draw_batch_counter`,
   :func:`~repro.simulation.batch.redraw_decisions_counter`,
@@ -26,9 +21,11 @@ exactly reproducible:
   Box–Muller transform instead of numpy's variable-consumption ziggurat,
   keeping them addressable too.
 * :class:`MatrixDraws` — the replay adapter for ``rng_mode="matrix"``:
-  the historical sequential layout of one :class:`SimulationRng` stream
-  per chunk behind the same interface, kept so archived rows reproduce
-  the exact bits they were drawn with.
+  the historical sequential layout of one :class:`numpy.random.Generator`
+  per chunk, seeded by :func:`_spawn_seed`, behind the same interface,
+  kept so archived rows reproduce the exact bits they were drawn with.
+  Draw *order* matters there: the k-th value depends on the k-1 draws
+  before it.
 
 The counter source keys one :class:`numpy.random.PCG64` state per stream
 (the state words are a splitmix64 hash of the (seed, chunk, round,
@@ -57,7 +54,6 @@ import numpy as np
 from ..core.exceptions import SimulationError
 
 __all__ = [
-    "SimulationRng",
     "DrawSource",
     "CounterDraws",
     "MatrixDraws",
@@ -175,10 +171,12 @@ _INT_HASH_MODULUS = (1 << 61) - 1
 
 
 def _spawn_seed(seed: int, index: int) -> int:
-    """The child seed of ``SimulationRng(seed).spawn(index)``.
+    """The child seed of stream ``index`` under ``seed`` (matrix layout).
 
-    The value is ``hash((seed, index)) % 2**32`` as 64-bit CPython
-    computes it, spelled out as integer arithmetic so archived
+    :class:`MatrixDraws` seeds chunk ``c`` with ``_spawn_seed(seed, c)``
+    and round ``r > 0`` of it with ``_spawn_seed(that, r)``.  The value
+    is ``hash((seed, index)) % 2**32`` as 64-bit CPython computes it,
+    spelled out as integer arithmetic so archived
     ``rng_mode="matrix"`` rows replay on any interpreter: each
     non-negative int hashes to itself mod 2**61 - 1, and the tuple folds
     those lanes with the xxHash64 round, then adds its mangled length.
@@ -216,79 +214,6 @@ def _stream_state(seed: int, packed: int) -> dict:
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-class SimulationRng:
-    """Seeded random source for simulations.
-
-    Parameters
-    ----------
-    seed:
-        Any non-negative integer.  The same seed always produces the same
-        stream of draws.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        if seed < 0:
-            raise SimulationError("seed must be non-negative")
-        self.seed = seed
-        self._generator = np.random.default_rng(seed)
-
-    def spawn(self, index: int) -> "SimulationRng":
-        """Create an independent child stream.
-
-        Child streams are derived deterministically from the parent seed
-        and ``index``, so per-user streams do not depend on the order in
-        which users are simulated.
-        """
-        if index < 0:
-            raise SimulationError("spawn index must be non-negative")
-        return SimulationRng(seed=_spawn_seed(self.seed, index))
-
-    def bernoulli(self, probability: float) -> bool:
-        """One biased coin flip."""
-        if not 0.0 <= probability <= 1.0:
-            raise SimulationError(f"probability must be in [0, 1], got {probability}")
-        return bool(self._generator.random() < probability)
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        """One uniform draw on [low, high)."""
-        if high < low:
-            raise SimulationError("high must be >= low")
-        return float(self._generator.uniform(low, high))
-
-    def truncated_normal(
-        self, mean: float, std: float, low: float = 0.0, high: float = 1.0
-    ) -> float:
-        """A normal draw clipped to [low, high].
-
-        Clipping (rather than rejection sampling) is adequate here: the
-        traits being sampled are bounded behavioural scores, and the exact
-        tail shape is immaterial to the reproduced effect sizes.
-        """
-        _check_clip(std, low, high)
-        value = self._generator.normal(mean, std) if std > 0 else mean
-        return float(min(high, max(low, value)))
-
-    def integers(self, low: int, high: int) -> int:
-        """One integer draw in [low, high)."""
-        if high <= low:
-            raise SimulationError("high must be > low")
-        return int(self._generator.integers(low, high))
-
-    def choice(self, options: Sequence, probabilities: Optional[Sequence[float]] = None):
-        """Choose one element, optionally with explicit probabilities."""
-        if not options:
-            raise SimulationError("options must be non-empty")
-        if probabilities is not None:
-            if len(probabilities) != len(options):
-                raise SimulationError("probabilities must match options length")
-            total = float(sum(probabilities))
-            if total <= 0:
-                raise SimulationError("probabilities must sum to a positive value")
-            probabilities = [p / total for p in probabilities]
-        index = self._generator.choice(len(options), p=probabilities)
-        return options[int(index)]
 
 
 class DrawSource(Protocol):
@@ -641,24 +566,28 @@ class MatrixDraws:
     """The sequential matrix layout behind the :class:`DrawSource` interface.
 
     A replay adapter, kept so rows recorded under ``rng_mode="matrix"``
-    reproduce bit for bit.  It wraps the generator of
-    ``SimulationRng(seed).spawn(chunk)`` (spawned again by
-    ``round_index`` for a later round), ignores stream ids and
-    ``buffers``, and draws in call order.  The draw functions call in the
-    historical matrix order — trait rows in ``TRAIT_NAMES`` order, age,
-    trained, spoof, noise, decisions — so the values are the ones the
-    matrix path always drew: ziggurat normals clipped per row, and one
-    row-major decision matrix.
+    reproduce bit for bit.  It draws from one
+    :func:`numpy.random.default_rng` generator seeded with
+    ``_spawn_seed(seed, chunk)`` (spawned again by ``round_index`` for a
+    later round), ignores stream ids and ``buffers``, and draws in call
+    order.  The draw functions call in the historical matrix order —
+    trait rows in ``TRAIT_NAMES`` order, age, trained, spoof, noise,
+    decisions — so the values are the ones the matrix path always drew:
+    ziggurat normals clipped per row, and one row-major decision matrix.
     """
 
     def __init__(self, seed: int, chunk: int = 0, round_index: int = 0) -> None:
+        if seed < 0:
+            raise SimulationError("seed must be non-negative")
+        if chunk < 0 or round_index < 0:
+            raise SimulationError("chunk and round_index must be non-negative")
         self.seed = seed
         self.chunk = chunk
         self.round_index = round_index
-        rng = SimulationRng(seed).spawn(chunk)
+        cell_seed = _spawn_seed(seed, chunk)
         if round_index:
-            rng = rng.spawn(round_index)
-        self._generator = rng._generator
+            cell_seed = _spawn_seed(cell_seed, round_index)
+        self._generator = np.random.default_rng(cell_seed)
 
     def for_round(self, round_index: int) -> "MatrixDraws":
         """The same chunk cell at another hazard-encounter round."""

@@ -20,7 +20,6 @@ from repro.core import (
     typical_receiver,
 )
 from repro.core.receiver import Capabilities
-from repro.simulation import SimulationRng
 
 
 @pytest.fixture
@@ -112,8 +111,3 @@ def small_system(warning_task: HumanSecurityTask, memory_task: HumanSecurityTask
         description="two-task test system",
         tasks=[warning_task, memory_task],
     )
-
-
-@pytest.fixture
-def rng() -> SimulationRng:
-    return SimulationRng(seed=1234)

@@ -16,6 +16,7 @@ from repro.experiments import (
     SerialBackend,
     ShardBackend,
     SweepSpec,
+    VariantSpec,
     reproduce_row,
     resolve_backend,
     shard_plans,
@@ -379,6 +380,59 @@ class TestCheckpointResume:
         # Resume also tolerates the torn-header file.
         resumed = experiment.resume(str(tmp_path))
         assert canonical(resumed) == canonical(serial)
+
+
+def _passwords(**settings) -> Experiment:
+    settings.setdefault("n_receivers", 200)
+    variants = (VariantSpec("passwords", params=settings.pop("params", {})),)
+    return Experiment("e", variants, **settings)
+
+
+class TestResumeChecksServedRows:
+    """A checkpointed row is served only to the definition that produced it.
+
+    ``row_key`` pins the variant's label, parameters and mode; the seed,
+    size, chunking and task are checked row by row before resume serves
+    anything, and a mismatch appends nothing.
+    """
+
+    def _assert_rejected(self, tmp_path, field, original, changed):
+        _passwords(**original).run(backend=ShardBackend(0, 1, checkpoint_dir=str(tmp_path)))
+        before = {path.name: path.read_text() for path in tmp_path.iterdir()}
+        with pytest.raises(ExperimentError, match=rf"shard-0000-of-0001\.jsonl.*{field}"):
+            _passwords(**changed).resume(str(tmp_path))
+        assert {path.name: path.read_text() for path in tmp_path.iterdir()} == before
+
+    def test_changed_n_receivers_is_rejected(self, tmp_path):
+        self._assert_rejected(tmp_path, "n_receivers", {}, {"n_receivers": 400})
+
+    def test_changed_batch_size_is_rejected(self, tmp_path):
+        self._assert_rejected(tmp_path, "batch_size", {}, {"batch_size": 100})
+
+    def test_changed_task_is_rejected(self, tmp_path):
+        self._assert_rejected(tmp_path, "task", {}, {"task": "recall"})
+
+    def test_changed_seed_strategy_is_rejected(self, tmp_path):
+        self._assert_rejected(
+            tmp_path, "seed", {"seed_strategy": "shared"}, {"seed_strategy": "per-variant"}
+        )
+
+    def test_changed_rounds_are_recomputed(self, tmp_path, monkeypatch):
+        _passwords().run(backend=ShardBackend(0, 1, checkpoint_dir=str(tmp_path)))
+        executed = _counting_run_variant(monkeypatch)
+        resumed = _passwords(params={"rounds": 3}).resume(str(tmp_path))
+        assert len(executed) == 1
+        assert [row.rounds for row in resumed] == [3]
+
+    def test_unchanged_resume_serves_every_row(self, tmp_path, monkeypatch):
+        original = _passwords(paths=("analyze", "simulate")).run(
+            backend=ShardBackend(0, 1, checkpoint_dir=str(tmp_path))
+        )
+        executed = _counting_run_variant(monkeypatch)
+        resumed = _passwords(paths=("analyze", "simulate")).resume(str(tmp_path))
+        assert executed == []
+        assert resumed.to_dict() == original.to_dict()
+        assert not (tmp_path / "resume.jsonl").exists()
 
 
 class TestShardProgress:

@@ -20,13 +20,14 @@ from repro.io.experiments_io import (
 SEED = 20260726
 
 
-def _experiment(**settings) -> Experiment:
-    settings.setdefault("n_receivers", 300)
-    settings.setdefault("seed", SEED)
+def _experiment(**knobs) -> Experiment:
+    """One ie_passive variant with engine ``knobs`` bound as parameters."""
+    params = {"variant": "ie_passive", **knobs}
     return Experiment(
         name="funnel-provenance",
-        variants=(VariantSpec(scenario="antiphishing", params={"variant": "ie_passive"}),),
-        **settings,
+        variants=(VariantSpec(scenario="antiphishing", params=params),),
+        n_receivers=300,
+        seed=SEED,
     )
 
 
@@ -70,20 +71,14 @@ class TestWeightProvenance:
         assert row.dismiss_weight == 1.0
         assert row.heed_weight == 1.0
 
-    def test_experiment_weights_cannot_shadow_bound_weights(self):
-        from repro.experiments.results import ExperimentError
+    def test_bad_engine_knobs_rejected(self):
+        from repro.core.exceptions import ModelError
 
-        with pytest.raises(ExperimentError):
-            Experiment(
-                name="clash",
-                variants=(
-                    VariantSpec(scenario="antiphishing", params={"dismiss_weight": 3.0}),
-                ),
-                dismiss_weight=1.5,
-            )
-        with pytest.raises(ExperimentError):
-            Experiment(name="bad", variants=(VariantSpec(scenario="antiphishing"),),
-                       heed_weight=-1.0)
+        for bad in ({"heed_weight": -1.0}, {"dismiss_weight": -0.5},
+                    {"rounds": 0}, {"recovery_rate": 1.5}):
+            with pytest.raises(ModelError):
+                SweepSpec(scenario="antiphishing", grid={"variant": ["ie_passive"]},
+                          base=bad)
 
     def test_json_round_trip_preserves_funnel_and_weights(self, tmp_path):
         results = _experiment(rounds=2, dismiss_weight=2.0, heed_weight=0.5).run()

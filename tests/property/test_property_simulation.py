@@ -5,26 +5,21 @@ from hypothesis import strategies as st
 
 from repro.core.communication import Communication, CommunicationType
 from repro.core.task import HumanSecurityTask
+from repro.simulation.batch import BatchReceivers
 from repro.simulation.calibration import StageCalibration
 from repro.simulation.engine import HumanLoopSimulator, SimulationConfig
 from repro.simulation.metrics import SimulationResult
 from repro.simulation.population import (
+    PopulationSpec,
     TraitDistribution,
     general_web_population,
 )
-from repro.simulation.rng import SimulationRng
+from repro.simulation.rng import CounterDraws
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 
 
 class TestRngProperties:
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1), probability=unit)
-    @settings(max_examples=80, deadline=None)
-    def test_bernoulli_is_deterministic_per_seed(self, seed, probability):
-        assert SimulationRng(seed).bernoulli(probability) == SimulationRng(seed).bernoulli(
-            probability
-        )
-
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         mean=unit,
@@ -32,8 +27,8 @@ class TestRngProperties:
     )
     @settings(max_examples=80, deadline=None)
     def test_truncated_normal_in_bounds(self, seed, mean, std):
-        value = SimulationRng(seed).truncated_normal(mean, std, 0.0, 1.0)
-        assert 0.0 <= value <= 1.0
+        values = CounterDraws(seed).clipped_normals((0, 1), mean, std, 0.0, 1.0, 8)
+        assert ((values >= 0.0) & (values <= 1.0)).all()
 
 
 class TestPopulationProperties:
@@ -41,17 +36,21 @@ class TestPopulationProperties:
            seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
     def test_trait_samples_respect_bounds(self, mean, std, seed):
-        distribution = TraitDistribution(mean=mean, std=std)
-        sample = distribution.sample(SimulationRng(seed))
-        assert 0.0 <= sample <= 1.0
+        spec = PopulationSpec(name="p", traits={"trust": TraitDistribution(mean=mean, std=std)})
+        samples = spec.sample_traits(8, CounterDraws(seed)).traits["trust"]
+        assert ((samples >= 0.0) & (samples <= 1.0)).all()
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
     def test_sampled_receivers_always_valid(self, seed):
-        receiver = general_web_population().sample(SimulationRng(seed))
-        assert 0.0 <= receiver.expertise <= 1.0
-        assert 0.0 <= receiver.intention_score <= 1.0
-        assert 0.0 <= receiver.capability_score <= 1.0
+        samples = general_web_population().sample_traits(8, CounterDraws(seed))
+        receivers = BatchReceivers(samples)
+        for scores in (
+            receivers.expertise,
+            receivers.intention_score,
+            receivers.capability_score,
+        ):
+            assert ((scores >= 0.0) & (scores <= 1.0)).all()
 
 
 class TestEngineProperties:

@@ -5,7 +5,6 @@ import pytest
 from repro.core.communication import Communication, CommunicationType
 from repro.core.exceptions import SimulationError
 from repro.simulation.habituation import HabituationState, simulate_exposure_series
-from repro.simulation.rng import SimulationRng
 
 
 def _indicator(activeness: float = 0.2) -> Communication:
@@ -55,15 +54,43 @@ class TestHabituationState:
             HabituationState().recover(periods=-1)
 
 
+#: ``noticed`` flags of a 30-exposure series of ``_indicator(0.5)``, per
+#: (seed, (dismiss_weight, heed_weight)), recorded from the scalar
+#: Bernoulli sampler the series used to draw with.
+RECORDED_NOTICED = {
+    (0, (1.0, 1.0)): "011100000001010100001100000000",
+    (0, (3.0, 0.5)): "011100000001010000001100000000",
+    (7, (1.0, 1.0)): "000110100001100000000101100000",
+    (7, (3.0, 0.5)): "000110100000000000000001100000",
+}
+
+
 class TestExposureSeries:
+    @pytest.mark.parametrize("seed, weights", sorted(RECORDED_NOTICED))
+    def test_noticed_flags_match_recording(self, seed, weights):
+        dismiss_weight, heed_weight = weights
+        series = simulate_exposure_series(
+            _indicator(0.5),
+            exposures=30,
+            seed=seed,
+            dismiss_weight=dismiss_weight,
+            heed_weight=heed_weight,
+        )
+        flags = "".join("1" if point.noticed else "0" for point in series)
+        assert flags == RECORDED_NOTICED[(seed, weights)]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(SimulationError):
+            simulate_exposure_series(_indicator(), exposures=3, seed=-1)
+
     def test_series_length_and_determinism(self):
-        series_a = simulate_exposure_series(_indicator(), exposures=15, rng=SimulationRng(5))
-        series_b = simulate_exposure_series(_indicator(), exposures=15, rng=SimulationRng(5))
+        series_a = simulate_exposure_series(_indicator(), exposures=15, seed=5)
+        series_b = simulate_exposure_series(_indicator(), exposures=15, seed=5)
         assert len(series_a) == 15
         assert [point.noticed for point in series_a] == [point.noticed for point in series_b]
 
     def test_notice_probability_declines_over_exposures(self):
-        series = simulate_exposure_series(_indicator(), exposures=25, rng=SimulationRng(1))
+        series = simulate_exposure_series(_indicator(), exposures=25, seed=1)
         assert series[-1].notice_probability < series[0].notice_probability
 
     def test_blocking_warning_stays_noticed_while_passive_fades(self):
@@ -71,14 +98,14 @@ class TestExposureSeries:
 
         quiet = Environment.quiet()
         passive = simulate_exposure_series(
-            _indicator(0.1), environment=quiet, exposures=30, rng=SimulationRng(2)
+            _indicator(0.1), environment=quiet, exposures=30, seed=2
         )
         blocking = simulate_exposure_series(
             Communication(name="block", comm_type=CommunicationType.WARNING,
                           activeness=1.0, conspicuity=0.9),
             environment=quiet,
             exposures=30,
-            rng=SimulationRng(2),
+            seed=2,
         )
         # After heavy exposure the passive indicator is mostly ignored while
         # the blocking warning is still noticed by most receivers.
@@ -224,10 +251,10 @@ class TestHabituationEdgeCases:
 
     def test_exposure_series_with_recovery_stays_above_plain_decay(self):
         quiet_series = simulate_exposure_series(
-            _indicator(activeness=0.2), exposures=20, rng=SimulationRng(3)
+            _indicator(activeness=0.2), exposures=20, seed=3
         )
         rested_series = simulate_exposure_series(
-            _indicator(activeness=0.2), exposures=20, rng=SimulationRng(3), recovery_rate=0.5
+            _indicator(activeness=0.2), exposures=20, seed=3, recovery_rate=0.5
         )
         assert (
             rested_series[-1].notice_probability > quiet_series[-1].notice_probability
@@ -236,7 +263,7 @@ class TestHabituationEdgeCases:
     def test_exposure_series_monotone_under_zero_recovery(self):
         """Without recovery periods, notice probability can only decay."""
         series = simulate_exposure_series(
-            _indicator(activeness=0.3), exposures=25, rng=SimulationRng(11)
+            _indicator(activeness=0.3), exposures=25, seed=11
         )
         probabilities = [point.notice_probability for point in series]
         assert all(

@@ -299,13 +299,12 @@ class TestScenarioAndExperimentIntegration:
         from repro.experiments import Experiment, VariantSpec, reproduce_row
         from repro.io.experiments_io import load_resultset, save_resultset
 
+        params = {"variant": "ie_passive", "rounds": 3, "recovery_rate": 0.25}
         experiment = Experiment(
             name="habituation-rounds",
-            variants=(VariantSpec(scenario="antiphishing", params={"variant": "ie_passive"}),),
+            variants=(VariantSpec(scenario="antiphishing", params=params),),
             n_receivers=200,
             seed=SEED,
-            rounds=3,
-            recovery_rate=0.25,
         )
         results = experiment.run()
         row = results.rows[0]
@@ -325,24 +324,6 @@ class TestScenarioAndExperimentIntegration:
         assert rerun.round_metric("notice_rate") == [
             row.metrics[f"round{k}:notice_rate"] for k in range(3)
         ]
-
-    def test_experiment_rounds_cannot_shadow_bound_or_swept_rounds(self):
-        from repro.experiments import Experiment, SweepSpec, VariantSpec
-        from repro.experiments.results import ExperimentError
-
-        with pytest.raises(ExperimentError):
-            Experiment.from_sweep(
-                "clash",
-                SweepSpec(scenario="antiphishing", grid={"rounds": [1, 4]}),
-                n_receivers=100,
-                rounds=2,
-            )
-        with pytest.raises(ExperimentError):
-            Experiment(
-                name="clash",
-                variants=(VariantSpec(scenario="antiphishing", params={"recovery_rate": 0.5}),),
-                recovery_rate=0.1,
-            )
 
     def test_rounds_as_sweep_axis(self):
         from repro.experiments import Experiment, SweepSpec

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.exceptions import SimulationError
+from repro.simulation.batch import BatchReceivers
 from repro.simulation.population import (
     PopulationSpec,
     TraitDistribution,
@@ -10,15 +11,19 @@ from repro.simulation.population import (
     general_web_population,
     organization_population,
 )
-from repro.simulation.rng import SimulationRng
+from repro.simulation.rng import CounterDraws
+
+
+def _receivers(spec: PopulationSpec, count: int, seed: int) -> BatchReceivers:
+    return BatchReceivers(spec.sample_traits(count, CounterDraws(seed)))
 
 
 class TestTraitDistribution:
     def test_sampling_stays_in_bounds(self):
         distribution = TraitDistribution(mean=0.5, std=0.5)
-        rng = SimulationRng(1)
-        samples = [distribution.sample(rng) for _ in range(200)]
-        assert all(0.0 <= sample <= 1.0 for sample in samples)
+        spec = PopulationSpec(name="p", traits={"trust": distribution})
+        samples = spec.sample_traits(200, CounterDraws(1)).traits["trust"]
+        assert ((samples >= 0.0) & (samples <= 1.0)).all()
 
     def test_mean_must_lie_in_bounds(self):
         with pytest.raises(SimulationError):
@@ -45,25 +50,20 @@ class TestPopulationSpec:
             general_web_population().with_trait("charisma", TraitDistribution(0.5))
 
     def test_sample_produces_valid_receiver(self):
-        receiver = general_web_population().sample(SimulationRng(0))
-        assert 0.0 <= receiver.expertise <= 1.0
-        assert 0.0 <= receiver.intention_score <= 1.0
-        assert 0.0 <= receiver.capability_score <= 1.0
-        assert 18 <= receiver.personal_variables.demographics.age <= 90
+        receivers = _receivers(general_web_population(), 50, seed=0)
+        assert receivers.count == 50
+        for scores in (
+            receivers.expertise,
+            receivers.intention_score,
+            receivers.capability_score,
+        ):
+            assert ((scores >= 0.0) & (scores <= 1.0)).all()
+        ages = receivers.samples.ages
+        assert ((ages >= 18) & (ages <= 90)).all()
 
-    def test_sample_many_count_and_names(self):
-        receivers = organization_population().sample_many(5, SimulationRng(3))
-        assert len(receivers) == 5
-        assert len({receiver.name for receiver in receivers}) == 5
-
-    def test_sample_many_deterministic(self):
-        first = general_web_population().sample_many(3, SimulationRng(9))
-        second = general_web_population().sample_many(3, SimulationRng(9))
-        assert [r.expertise for r in first] == [r.expertise for r in second]
-
-    def test_sample_many_negative_rejected(self):
+    def test_sample_traits_negative_rejected(self):
         with pytest.raises(SimulationError):
-            general_web_population().sample_many(-1, SimulationRng(0))
+            general_web_population().sample_traits(-1, CounterDraws(0))
 
     def test_training_fraction_validated(self):
         with pytest.raises(SimulationError):
@@ -72,13 +72,9 @@ class TestPopulationSpec:
 
 class TestPresetPopulations:
     def test_expert_population_more_knowledgeable_on_average(self):
-        rng_a = SimulationRng(42)
-        rng_b = SimulationRng(42)
-        experts = expert_population().sample_many(200, rng_a)
-        general = general_web_population().sample_many(200, rng_b)
-        expert_mean = sum(receiver.expertise for receiver in experts) / len(experts)
-        general_mean = sum(receiver.expertise for receiver in general) / len(general)
-        assert expert_mean > general_mean + 0.2
+        experts = _receivers(expert_population(), 200, seed=42)
+        general = _receivers(general_web_population(), 200, seed=42)
+        assert experts.expertise.mean() > general.expertise.mean() + 0.2
 
     def test_organization_population_has_higher_prior_exposure(self):
         org = organization_population()

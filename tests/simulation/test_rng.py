@@ -1,4 +1,4 @@
-"""Tests for the deterministic simulation RNG."""
+"""Tests for the matrix-layout seed derivation and its replay adapter."""
 
 import platform
 import random
@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.core.exceptions import SimulationError
-from repro.simulation.rng import SimulationRng, _spawn_seed
+from repro.simulation.rng import MatrixDraws, _spawn_seed
 
 #: ``(seed, index) -> child seed`` pairs recorded from 64-bit CPython's
 #: ``hash((seed, index)) % 2**32``, the derivation archived matrix rows
@@ -23,36 +23,46 @@ RECORDED_SPAWN_SEEDS = {
     (2**63 + 5, 2): 2227519245,
 }
 
+#: The first two uniforms of ``MatrixDraws(seed, chunk, round_index)``,
+#: recorded from the sequential sampler the matrix layout was drawn with.
+RECORDED_MATRIX_UNIFORMS = {
+    (0, 0, 0): [0.7228383082160706, 0.9709907038611254],
+    (5, 3, 0): [0.9058688436479875, 0.48620419941031967],
+    (5, 3, 4): [0.8825109145638331, 0.4568033215833931],
+    (2**63 + 5, 2, 1): [0.9710846963692482, 0.43566577880651525],
+}
+
 CPYTHON_64 = platform.python_implementation() == "CPython" and sys.hash_info.width == 64
 
 
 class TestDeterminism:
     def test_same_seed_same_stream(self):
-        first = [SimulationRng(7).uniform() for _ in range(1)]
-        second = [SimulationRng(7).uniform() for _ in range(1)]
-        assert first == second
+        assert MatrixDraws(7).uniforms(0, 4).tolist() == MatrixDraws(7).uniforms(0, 4).tolist()
 
     def test_different_seeds_differ(self):
-        assert SimulationRng(1).uniform() != SimulationRng(2).uniform()
+        assert MatrixDraws(1).uniforms(0, 1)[0] != MatrixDraws(2).uniforms(0, 1)[0]
 
     def test_spawned_streams_are_deterministic(self):
-        parent_a = SimulationRng(5)
-        parent_b = SimulationRng(5)
-        assert parent_a.spawn(3).uniform() == parent_b.spawn(3).uniform()
+        first = MatrixDraws(5, chunk=3).uniforms(0, 4).tolist()
+        assert MatrixDraws(5, chunk=3).uniforms(0, 4).tolist() == first
 
     def test_spawned_streams_independent_of_order(self):
-        parent = SimulationRng(5)
-        value_3 = parent.spawn(3).uniform()
-        parent2 = SimulationRng(5)
-        parent2.spawn(1)
-        assert parent2.spawn(3).uniform() == value_3
+        # A later round depends on its (seed, chunk, round) cell only, not
+        # on what the chunk's round-0 stream drew before it.
+        cell = MatrixDraws(5, chunk=3)
+        cell.uniforms(0, 10)
+        later = cell.for_round(2).uniforms(0, 3).tolist()
+        assert MatrixDraws(5, chunk=3, round_index=2).uniforms(0, 3).tolist() == later
 
 
 class TestSpawnDerivation:
     @pytest.mark.parametrize("coords", sorted(RECORDED_SPAWN_SEEDS))
     def test_spawn_seed_matches_recording(self, coords):
         assert _spawn_seed(*coords) == RECORDED_SPAWN_SEEDS[coords]
-        assert SimulationRng(coords[0]).spawn(coords[1]).seed == RECORDED_SPAWN_SEEDS[coords]
+
+    @pytest.mark.parametrize("coords", sorted(RECORDED_MATRIX_UNIFORMS))
+    def test_matrix_cell_matches_recording(self, coords):
+        assert MatrixDraws(*coords).uniforms(0, 2).tolist() == RECORDED_MATRIX_UNIFORMS[coords]
 
     @pytest.mark.skipif(not CPYTHON_64, reason="the recorded derivation is 64-bit CPython's hash")
     def test_spawn_seed_equals_tuple_hash(self):
@@ -65,48 +75,24 @@ class TestSpawnDerivation:
 
 
 class TestDraws:
-    def test_bernoulli_extremes(self, rng):
-        assert rng.bernoulli(1.0) is True
-        assert rng.bernoulli(0.0) is False
-
-    def test_bernoulli_validates_probability(self, rng):
-        with pytest.raises(SimulationError):
-            rng.bernoulli(1.2)
-
-    def test_bernoulli_rate_approximates_probability(self):
-        rng = SimulationRng(11)
-        draws = [rng.bernoulli(0.3) for _ in range(5000)]
-        rate = sum(draws) / len(draws)
-        assert 0.25 < rate < 0.35
-
     def test_truncated_normal_respects_bounds(self):
-        rng = SimulationRng(3)
-        values = [rng.truncated_normal(0.5, 0.5, 0.0, 1.0) for _ in range(200)]
-        assert all(0.0 <= value <= 1.0 for value in values)
+        values = MatrixDraws(3).clipped_normals((0, 1), 0.5, 0.5, 0.0, 1.0, 200)
+        assert ((values >= 0.0) & (values <= 1.0)).all()
 
-    def test_truncated_normal_zero_std_returns_mean(self, rng):
-        assert rng.truncated_normal(0.4, 0.0) == 0.4
+    def test_truncated_normal_zero_std_returns_mean(self):
+        draws = MatrixDraws(3)
+        assert draws.clipped_normals((0, 1), 0.4, 0.0, 0.0, 1.0, 3).tolist() == [0.4] * 3
+        # A constant row draws nothing from the sequential stream.
+        assert draws.uniforms(0, 2).tolist() == MatrixDraws(3).uniforms(0, 2).tolist()
 
-    def test_uniform_range(self, rng):
-        value = rng.uniform(2.0, 3.0)
-        assert 2.0 <= value < 3.0
-
-    def test_integers_range(self, rng):
-        values = {rng.integers(0, 3) for _ in range(50)}
-        assert values.issubset({0, 1, 2})
-
-    def test_choice_with_weights(self, rng):
-        value = rng.choice(["a", "b"], probabilities=[0.0, 1.0])
-        assert value == "b"
-
-    def test_choice_validation(self, rng):
-        with pytest.raises(SimulationError):
-            rng.choice([])
-        with pytest.raises(SimulationError):
-            rng.choice(["a"], probabilities=[0.5, 0.5])
+    def test_uniform_range(self):
+        values = MatrixDraws(11).uniforms(0, 500)
+        assert ((values >= 0.0) & (values < 1.0)).all()
 
     def test_invalid_construction(self):
         with pytest.raises(SimulationError):
-            SimulationRng(-1)
+            MatrixDraws(-1)
         with pytest.raises(SimulationError):
-            SimulationRng(0).spawn(-1)
+            MatrixDraws(0, chunk=-1)
+        with pytest.raises(SimulationError):
+            MatrixDraws(0, chunk=0, round_index=-1)
