@@ -1,10 +1,11 @@
 """Benchmark: cost of the stage-outcome trace layer.
 
 Runs the multi-round workload of ``perfbench``'s ``engine_rounds``
-(anti-phishing IE passive warning, 100k receivers x 10 rounds) twice —
-once with the per-stage funnel trace disabled (``trace=False``) and once
-with it enabled — and records both throughputs plus their ratio in
-``BENCH_trace.json`` at the repository root.
+(anti-phishing IE passive warning, 100k receivers x 10 rounds) with the
+per-stage funnel trace disabled (``trace=False``) and enabled, the two
+settings alternating call by call, and records each setting's best-of-3
+throughput plus their ratio in ``BENCH_trace.json`` at the repository
+root.
 
 Acceptance criteria tracked here (asserted at full size only):
 
@@ -35,9 +36,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
-from _timing import best_of, utc_timestamp
+from _timing import timed, utc_timestamp
 from repro.systems import get_scenario
 
 SEED = 20080326
@@ -54,23 +55,38 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_trace.json"
 
 
-def _rate(trace: bool) -> Dict[str, float]:
-    """Best-of-3 receiver-rounds/second for one trace setting."""
+def _rates(repeats: int = 3) -> Dict[bool, Dict[str, float]]:
+    """Best-of-``repeats`` receiver-rounds/second per trace setting.
+
+    The two settings alternate (off, on, off, on, ...), so a slow or fast
+    spell of the host lands on both rather than on whichever ran second.
+    """
     scenario = get_scenario(SCENARIO)
-    best, result = best_of(
-        lambda: scenario.simulate(
-            N_RECEIVERS,
-            seed=SEED,
-            task=TASK,
-            rounds=ROUNDS,
-            recovery_rate=RECOVERY_RATE,
-            trace=trace,
-        )
-    )
+    best = {False: float("inf"), True: float("inf")}
+    results: Dict[bool, Any] = {}
+    for _ in range(repeats):
+        for trace in (False, True):
+            elapsed, result = timed(
+                lambda: scenario.simulate(
+                    N_RECEIVERS,
+                    seed=SEED,
+                    task=TASK,
+                    rounds=ROUNDS,
+                    recovery_rate=RECOVERY_RATE,
+                    trace=trace,
+                )
+            )
+            best[trace] = min(best[trace], elapsed)
+            results.setdefault(trace, result)
     return {
-        "seconds": round(best, 6),
-        "receiver_rounds_per_sec": round(result.receiver_rounds / best, 1),
-        "has_funnel": result.funnel is not None,
+        trace: {
+            "seconds": round(best[trace], 6),
+            "receiver_rounds_per_sec": round(
+                results[trace].receiver_rounds / best[trace], 1
+            ),
+            "has_funnel": results[trace].funnel is not None,
+        }
+        for trace in (False, True)
     }
 
 
@@ -90,8 +106,8 @@ def measure_trace_overhead() -> Dict[str, object]:
     # Warm-up outside the timed region.
     scenario.simulate(1_000, seed=SEED, task=TASK, rounds=3, recovery_rate=RECOVERY_RATE)
 
-    off = _rate(trace=False)
-    on = _rate(trace=True)
+    rates = _rates()
+    off, on = rates[False], rates[True]
     full_size = N_RECEIVERS >= ACCEPTANCE_N and ROUNDS >= ACCEPTANCE_ROUNDS
     on_vs_off = on["receiver_rounds_per_sec"] / off["receiver_rounds_per_sec"]
     off_vs_recorded = (

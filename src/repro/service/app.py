@@ -21,6 +21,7 @@ exception class but never unwinds the server.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import urllib.parse
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
@@ -71,7 +72,7 @@ class Route:
     pattern: str
     handler: Handler
 
-    @property
+    @functools.cached_property
     def segments(self) -> Tuple[str, ...]:
         return tuple(part for part in self.pattern.split("/") if part)
 

@@ -189,8 +189,12 @@ class TestBadRequests:
         assert (status, payload["error"]) == (400, "bad_request")
         assert_still_healthy(server.server_port)
 
-    def test_garbage_request_line_is_400(self, server):
-        response = raw_exchange(server.server_port, b"GET / EXTRA HTTP/1.0\r\n\r\n")
+    @pytest.mark.parametrize(
+        "line", [b"GET / EXTRA HTTP/1.0\r\n\r\n", b"GARBAGE\r\n\r\n"]
+    )
+    def test_garbage_request_line_is_400(self, server, line):
+        # A line with no version still gets a status line, not a bare body.
+        response = raw_exchange(server.server_port, line)
         assert status_of(response) == 400
         assert_still_healthy(server.server_port)
 
