@@ -7,7 +7,7 @@ app is dependency-free — requests parse with the stdlib, responses are
 canonical sorted-key JSON — and :meth:`ServiceApp.handle` is a pure
 ``(method, path, body) -> (status, payload)`` function, so the test
 suite drives the full stack through ``wsgiref`` test environs without a
-socket anywhere.
+socket; :mod:`repro.service.cli` serves the same app over HTTP.
 
 Error mapping is uniform: :class:`~repro.service.errors.ApiError`
 subclasses carry their own status and structured body; a

@@ -10,9 +10,10 @@ Two small pieces serve the WSGI app on the standard library alone:
   ``write``.  An exception from the app becomes a 500.
 * :class:`_Server` hands each accepted connection to an idle handler
   thread and starts a new daemon thread only when none is idle.  A
-  handler counts itself idle as soon as its response is written, so a
-  closed-loop client's next connection reuses it instead of growing the
-  pool (each extra thread keeps its own malloc arena).
+  handler counts itself idle as soon as its response is written, before
+  the socket closes, so a closed-loop client's next connection usually
+  reuses it instead of growing the pool (each extra thread keeps its
+  own malloc arena).
 
 Job execution stays on the service's own worker thread.  ``--data-dir``
 locates the durable state: the result-cache stream and the job ledgers,

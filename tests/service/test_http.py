@@ -14,6 +14,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.parse
@@ -350,6 +351,35 @@ class TestHandlerThreads:
         for _ in range(200):
             assert http_call(server.server_port, "GET", "/health")[0] == 200
         assert threading.active_count() - baseline <= 2
+
+    def test_every_handler_ends_idle_after_a_concurrent_burst(self, server):
+        """8 clients (more than the cores) at a short switch interval: a
+        lost update of the idle count would leave a handler counted busy."""
+        errors: List[BaseException] = []
+
+        def client() -> None:
+            try:
+                for _ in range(25):
+                    assert http_call(server.server_port, "GET", "/health")[0] == 200
+            except BaseException as error:  # surfaced by the assert below
+                errors.append(error)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors, errors
+        assert not any(thread.is_alive() for thread in clients)
+        deadline = time.monotonic() + 5
+        while server._idle != server._threads and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert 1 <= server._idle == server._threads
 
     def test_shutdown_is_prompt_with_a_parked_handler(self, app):
         server = build_server(app, "127.0.0.1", 0)
