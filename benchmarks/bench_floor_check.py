@@ -9,9 +9,10 @@ and fails if the live throughput drops below **half** of the recorded
 value — a loose enough floor to ride out machine noise, tight enough to
 catch a hot path regressing by an order of magnitude.  Also runs a
 small-N funnel-metrics smoke so the trace layer stays wired end to end,
-and a two-worker in-call parallelism smoke (``chunk_workers=2`` must
-reassemble the serial run bit for bit at any scale; the wall-clock
-comparison is skipped, not failed, on single-core runners).  The shard
+and an in-call fan-out smoke (a multi-round run the engine fans out over
+the local pool by default must reassemble the serial fold bit for bit at
+any scale; the wall-clock comparison is skipped, not failed, on
+single-core runners).  The shard
 floor doubles as a two-shard merge smoke (merged shards must equal the
 serial run bit for bit at any scale).  The default engine's end-to-end
 rates, multi-round included, and the service's request rate are bounded
@@ -23,10 +24,10 @@ Two checks validate the *committed recordings* rather than a live run
 >= 1.0 — the justification for ``rng_mode="counter"`` being the engine
 default (PR 9) — and the ``BENCH_rng.json`` acceptance block (raw fill
 ratio, O(1) point-addressing growth) must have passed when recorded.  A
-counter-mode zero-copy smoke additionally pins that ``chunk_workers=2``
-reassembles the serial run bit for bit *including per-receiver records*,
-which in counter mode never cross the process boundary (workers return
-tallies; records regenerate from coordinates at home).
+counter-mode zero-copy smoke additionally pins that a fanned-out run
+reassembles the serial fold bit for bit *including per-receiver
+records*, which in counter mode never cross the process boundary
+(workers return tallies; records regenerate from coordinates at home).
 
 The floors only engage when the live run is at the recorded scale (the
 recorded numbers are meaningless for smaller N): set ``BENCH_FLOOR_N`` /
@@ -50,10 +51,12 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
+from unittest import mock
 
 from _timing import best_of
 from repro.core.stages import Stage
+from repro.simulation import engine, pool
 from repro.systems import get_scenario
 
 try:
@@ -279,66 +282,86 @@ def test_recorded_rng_streams_acceptance():
     assert ok, f"BENCH_rng.json was recorded failing its acceptance: {acceptance}"
 
 
-def test_counter_zero_copy_smoke():
-    """Counter-mode ``chunk_workers=2``: records bit-identical, zero-copy.
+def _serial_fold(call: Callable[[], Any]) -> Any:
+    """``call()`` with the engine's fan-out rule pinned to the serial fold."""
+    pool.run_groups(list, [None], 1)  # start the pool before patching the rule
+    with mock.patch.object(engine, "_fan_out", lambda config, chunks: 1):
+        return call()
 
-    Forces multiple chunks at smoke scale and asserts the parallel run
-    reassembles the serial one bit for bit *including the per-receiver
-    records*, which in counter mode are regenerated locally from (seed,
-    chunk, round) coordinates — workers ship tallies only.  Bit-identity
-    is asserted at every scale and on every core count; there is no
-    wall-clock assertion here at all (single-core runners cannot win
-    from fan-out, and the parallel wall clock is covered by
-    ``test_chunk_worker_parallel_smoke``).
+
+def _fan_out_rounds(n: int) -> int:
+    """The fewest rounds (at least 2) that make ``n`` receivers fan out."""
+    return max(2, -(-engine.FAN_OUT_MIN_RECEIVER_ROUNDS // n))
+
+
+def _expected_workers(chunks: int) -> int:
+    return min(chunks, pool.usable_cpus()) if pool.can_fan_out() else 1
+
+
+def test_counter_zero_copy_smoke():
+    """Counter-mode fan-out by default: records bit-identical, zero-copy.
+
+    Forces multiple chunks and enough rounds to fan out at smoke scale,
+    and asserts the default run reassembles the serial fold bit for bit
+    *including the per-receiver records*, which in counter mode are
+    regenerated locally from (seed, chunk, round) coordinates — workers
+    ship tallies only.  Bit-identity is asserted at every scale and on
+    every core count; there is no wall-clock assertion here at all
+    (single-core runners cannot win from fan-out, and the parallel wall
+    clock is covered by ``test_chunk_worker_parallel_smoke``).
     """
     scenario = get_scenario(SCENARIO)
-    n = min(N_RECEIVERS, 8_000)  # keep n*rounds under the record limit
-    run = lambda workers: scenario.simulate(
+    n = min(N_RECEIVERS, 8_000)
+    rounds = _fan_out_rounds(n)
+    run = lambda: scenario.simulate(
         n,
         seed=ENGINE_SEED,
         task=ENGINE_TASK,
         batch_size=n // 4,
+        rounds=rounds,
         rng_mode="counter",
-        chunk_workers=workers,
+        record_limit=n * rounds,
     )
-    serial = run(1)
-    parallel = run(2)
+    serial = _serial_fold(run)
+    parallel = run()
     assert parallel.chunks == serial.chunks >= 4
-    assert parallel.chunk_workers == 2
+    assert serial.chunk_workers == 1
+    assert parallel.chunk_workers == _expected_workers(parallel.chunks)
     assert parallel.tally.summary() == serial.tally.summary()
     assert parallel.funnel.entered == serial.funnel.entered
     assert parallel.funnel.passed == serial.funnel.passed
     assert list(parallel.records) == list(serial.records)
     print(
-        f"\n  counter zero-copy: {parallel.chunks} chunks, 2 workers, "
-        f"{n:,} receivers bit-identical ({os.cpu_count()} cores)"
+        f"\n  counter zero-copy: {parallel.chunks} chunks, "
+        f"{parallel.chunk_workers} workers, {n:,} receivers x {rounds} rounds "
+        f"bit-identical ({pool.usable_cpus()} usable CPUs)"
     )
     _record_smoke("counter_zero_copy")
 
 
 def test_chunk_worker_parallel_smoke():
-    """Two-worker in-call parallelism: bit-identical always, timed on multicore.
+    """Default fan-out of a multi-round run: bit-identical always, timed on multicore.
 
-    Determinism is asserted at every scale: ``chunk_workers=2`` must
-    reassemble the serial fold bit for bit (tallies, round tallies,
+    Determinism is asserted at every scale: the run the engine fans out
+    must reassemble the serial fold bit for bit (tallies, round tallies,
     funnel).  The wall-clock comparison is skipped — not failed — on
     single-core runners, where process fan-out cannot win.
     """
     scenario = get_scenario(SCENARIO)
     n = min(N_RECEIVERS, 20_000)
-    run = lambda workers: scenario.simulate(
+    run = lambda: scenario.simulate(
         n,
         seed=ROUNDS_SEED,
         task=ROUNDS_TASK,
-        rounds=3,
+        batch_size=n // 4,
+        rounds=_fan_out_rounds(n),
         recovery_rate=ROUNDS_RECOVERY,
-        chunk_workers=workers,
     )
-    run(1)  # warm-up
-    serial_seconds, serial = best_of(lambda: run(1), repeats=1)
-    parallel_seconds, parallel = best_of(lambda: run(2), repeats=1)
+    run()  # warm-up
+    serial_seconds, serial = best_of(lambda: _serial_fold(run), repeats=1)
+    parallel_seconds, parallel = best_of(run, repeats=1)
 
-    assert parallel.chunk_workers == 2
+    assert parallel.chunk_workers == _expected_workers(parallel.chunks)
     assert parallel.tally.summary() == serial.tally.summary()
     assert [tally.summary() for tally in parallel.round_tallies] == [
         tally.summary() for tally in serial.round_tallies
@@ -346,17 +369,18 @@ def test_chunk_worker_parallel_smoke():
     assert parallel.funnel.entered == serial.funnel.entered
     assert parallel.funnel.passed == serial.funnel.passed
     print(
-        f"\n  chunk_workers=2: serial {serial_seconds:.3f}s, "
-        f"parallel {parallel_seconds:.3f}s ({os.cpu_count()} cores)"
+        f"\n  default fan-out ({parallel.chunk_workers} workers): serial "
+        f"{serial_seconds:.3f}s, parallel {parallel_seconds:.3f}s "
+        f"({pool.usable_cpus()} usable CPUs)"
     )
-    if (os.cpu_count() or 1) < 2:
+    if not pool.can_fan_out():
         print("  single-core runner: wall-clock comparison skipped, not failed")
         _record_smoke("chunk_worker_parallel")
         return
     # Fan-out pays pickling + process start-up; only a gross regression
     # (worse than 4x serial) indicates the parallel path is broken.
     assert parallel_seconds < 4.0 * serial_seconds, (
-        f"chunk_workers=2 took {parallel_seconds:.3f}s vs serial "
+        f"fan-out took {parallel_seconds:.3f}s vs serial "
         f"{serial_seconds:.3f}s — parallel path regressed grossly"
     )
     _record_smoke("chunk_worker_parallel")

@@ -7,10 +7,9 @@ sign-on — through ``repro.experiments`` end to end:
 1. declare the grid (``SweepSpec``) over the registered ``passwords``
    scenario's typed parameters,
 2. run every variant through the batch engine with per-variant seeded
-   RNG streams (``Experiment.run``; pass
-   ``backend=ProcessBackend(max_workers=N)`` to fan the grid out over
-   processes, or see ``examples/sharded_sweep.py`` for splitting it
-   across hosts),
+   RNG streams (``Experiment.run``; pass ``backend=ProcessBackend()``
+   to fan the grid out over the local process pool, or see
+   ``examples/sharded_sweep.py`` for splitting it across hosts),
 3. compare variants and pick the best one from the ``ResultSet``, and
 4. export the results — with full parameter/seed provenance — via
    ``repro.io``, then reproduce one row exactly from that provenance.

@@ -14,6 +14,7 @@ HOT_PATH_SUFFIXES = (
     "simulation/batch.py",
     "simulation/rng.py",
     "simulation/population.py",
+    "simulation/pool.py",
     "core/pipeline.py",
 )
 
@@ -116,15 +117,16 @@ class _StateVisitor(ast.NodeVisitor):
 class NoHotPathModuleState(Rule):
     """The hot path keeps no mutable state at module level.
 
-    Every simulate call runs through the engine, batch, rng, population
-    and pipeline modules, often from several threads at once (the
+    Every simulate call runs through the engine, batch, rng, population,
+    pool and pipeline modules, often from several threads at once (the
     service's threading server and its job worker).  A module-level
     cache written from a function is shared by all of them: two calls
     that draw into one recycled buffer corrupt each other's results,
     and the service's first-write-wins cache keeps the wrong answer for
     good.  Per-call state belongs to the call, or to an object the
     caller owns and passes down.  Read-only module tables stay legal;
-    a guarded singleton takes a suppression that names its lock.
+    a process-wide singleton is an object that owns its lock and its
+    state (the process pool in ``simulation/pool.py``).
     """
 
     rule_id = "REP008"

@@ -16,8 +16,8 @@ simulator call per configuration, describe the comparison declaratively:
 >>> print(results.to_markdown(["protection_rate", "capability_failure_rate"]))
 
 Execution strategy is pluggable (:mod:`repro.experiments.backends`):
-``run(backend=ProcessBackend(max_workers=8))`` fans out over local
-processes, and a grid can be split across hosts with one
+``run(backend=ProcessBackend())`` fans out over the local process pool,
+and a grid can be split across hosts with one
 :class:`ShardBackend` invocation per shard —
 
 >>> host_a = experiment.run(backend=ShardBackend(0, 2, checkpoint_dir="ckpt"))

@@ -1,15 +1,13 @@
 """Pluggable execution backends for the experiments API.
 
-``Experiment.run()`` historically hard-wired a single-machine
-:class:`concurrent.futures.ProcessPoolExecutor` behind ``max_workers=``.
 This module separates *what to run* (the experiment, resolved into
 :class:`~repro.experiments.runner.VariantRun` work units) from *how to
 run it* — any object satisfying the :class:`ExecutionBackend` protocol:
 
 * :class:`SerialBackend` — every variant inline, in declaration order
   (the default, and the executable specification the others must match).
-* :class:`ProcessBackend` — a local process pool of ``max_workers``
-  processes.
+* :class:`ProcessBackend` — one variant per task on the shared local
+  process pool (:mod:`repro.simulation.pool`).
 * :class:`ShardBackend` — one deterministic shard of the grid per
   invocation, for splitting a sweep across hosts.  The partition strides
   over variant indices, and per-variant seeds derive from the experiment
@@ -28,9 +26,7 @@ only the rows that are missing, and returns the full canonical
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
-import os
 from pathlib import Path
 from typing import (
     Any,
@@ -50,6 +46,7 @@ from ..io.shards import (
     load_checkpoint,
     shard_filename,
 )
+from ..simulation import pool
 from ..simulation.engine import SimulationConfig
 from ..systems.scenario import variant_hash as compute_variant_hash
 from .design import Experiment
@@ -84,44 +81,39 @@ class ExecutionBackend(Protocol):
     def execute(self, experiment: Experiment) -> ResultSet: ...
 
 
+def _run_variants(runs: Sequence[VariantRun]) -> List[ResultRow]:
+    """Every row of ``runs``, in order (one pool task's worth)."""
+    return [row for run in runs for row in run_variant(run)]
+
+
 @dataclasses.dataclass(frozen=True)
 class SerialBackend:
     """Run every variant inline, in declaration order."""
 
     def execute(self, experiment: Experiment) -> ResultSet:
-        rows = [row for run in plan_runs(experiment) for row in run_variant(run)]
+        rows = _run_variants(plan_runs(experiment))
         return ResultSet(experiment=experiment.name, rows=rows, seed=experiment.seed)
 
 
 @dataclasses.dataclass(frozen=True)
 class ProcessBackend:
-    """Fan variants out over a local :class:`ProcessPoolExecutor`.
+    """Fan variants out over the shared local process pool.
 
-    ``max_workers`` of ``None`` uses the machine's core count; the pool
-    is always bounded by the variant count, and a pool of one (or a
-    single-variant experiment) degrades to the serial path.  Rows are
-    identical to :class:`SerialBackend` because each work unit carries
-    its own derived seed.
+    Each variant is one task on :mod:`repro.simulation.pool`, so a sweep
+    pays no executor start-up after the first.  A variant running in a
+    pool worker runs its chunks serially (the pool never nests), and a
+    single variant, a single usable CPU or a multiprocessing child runs
+    the sweep serially here.  Rows are identical to
+    :class:`SerialBackend` because each work unit carries its own
+    derived seed; only the ``chunk_workers`` telemetry can differ.
     """
-
-    max_workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ExperimentError("max_workers must be >= 1")
 
     def execute(self, experiment: Experiment) -> ResultSet:
         runs = plan_runs(experiment)
-        workers = min(self.max_workers or os.cpu_count() or 1, len(runs))
-        if workers <= 1 or len(runs) <= 1:
+        if len(runs) < 2 or not pool.can_fan_out():
             return SerialBackend().execute(experiment)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            row_lists = list(pool.map(run_variant, runs))
-        return ResultSet(
-            experiment=experiment.name,
-            rows=[row for rows in row_lists for row in rows],
-            seed=experiment.seed,
-        )
+        rows, _ = pool.run_groups(_run_variants, runs, len(runs))
+        return ResultSet(experiment=experiment.name, rows=rows, seed=experiment.seed)
 
 
 @dataclasses.dataclass(frozen=True)

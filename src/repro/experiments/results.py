@@ -51,12 +51,23 @@ __all__ = [
 #: scheduler-merged == serial) compare rows modulo these names — use
 #: :meth:`ResultSet.canonical_dict` rather than re-deriving the filter;
 #: ``perf:chunks`` is NOT listed because the chunk count is a pure
-#: function of (n_receivers, batch_size).
-WALL_CLOCK_METRICS = ("perf:elapsed_seconds", "perf:receiver_rounds_per_second")
+#: function of (n_receivers, batch_size).  The ``perf:phase:`` entries
+#: are the engine's phase times, one per
+#: :data:`~repro.simulation.metrics.ENGINE_PHASES` entry.
+WALL_CLOCK_METRICS = (
+    "perf:elapsed_seconds",
+    "perf:receiver_rounds_per_second",
+    "perf:phase:simulation.traits_s",
+    "perf:phase:simulation.encounter_s",
+    "perf:phase:core.pipeline_s",
+    "perf:phase:simulation.metrics_s",
+    "perf:phase:simulation.habituation_s",
+)
 
 #: :class:`ResultRow` provenance fields recorded as execution telemetry
-#: only — how a run was executed, never what it computed —  and therefore
-#: deliberately not consumed by :func:`reproduce_row`.  Machine-checked by
+#: only — how a run was executed, never what it computed — and therefore
+#: deliberately not consumed by :func:`reproduce_row` and dropped from
+#: :meth:`ResultSet.canonical_dict`.  Machine-checked by
 #: ``repro.devtools`` rule REP003: every engine knob recorded on a row
 #: must either be consumed by :func:`reproduce_row` (reproduction
 #: identity) or be declared here (telemetry), never neither.
@@ -76,8 +87,9 @@ class ResultRow:
     simulated rows the (scenario, params, task, n_receivers, seed, mode,
     batch_size, rounds, recovery_rate, dismiss_weight, heed_weight,
     rng_mode) tuple reproduces the run exactly — see
-    :func:`reproduce_row`; ``chunk_workers`` is recorded as telemetry but
-    never changes the bits.  ``rounds`` /
+    :func:`reproduce_row`; ``chunk_workers`` records how many processes
+    the engine spread the run's chunks across, telemetry that never
+    changes the bits.  ``rounds`` /
     ``recovery_rate`` / ``dismiss_weight`` / ``heed_weight`` record the
     *realized* engine settings (1 / 0.0 / 1.0 / 1.0 for single-shot,
     delivery-only runs); the per-round decay curve of a multi-round run
@@ -164,7 +176,7 @@ def reproduce_row(row: ResultRow) -> SimulationResult:
     variant = get_scenario(row.scenario).bind(**dict(row.params))
     overrides: Dict[str, Any] = {}
     # chunk_workers is deliberately omitted: it is parallelism telemetry,
-    # not stream identity — the serial re-run reproduces the same bits.
+    # not stream identity — a re-run reproduces the same bits anywhere.
     for name in (
         "batch_size",
         "rounds",
@@ -410,17 +422,21 @@ class ResultSet:
         return resultset_to_dict(self)
 
     def canonical_dict(self) -> Dict[str, Any]:
-        """The JSON form modulo wall-clock telemetry — the bit-identity view.
+        """The JSON form modulo execution telemetry — the bit-identity view.
 
         Two runs of the same experiment are *bit-identical* when their
         canonical dicts are equal: everything in :meth:`to_dict` except
         the :data:`WALL_CLOCK_METRICS` row metrics, which record machine
-        time and legitimately differ between otherwise identical runs.
+        time, and the :data:`TELEMETRY_ROW_FIELDS`, which record where
+        the work ran; both legitimately differ between otherwise
+        identical runs.
         Every equivalence assertion (merged shards == serial, scheduler
         fleet == serial, resumed == uninterrupted) compares this form.
         """
         payload = self.to_dict()
         for row in payload["rows"]:
+            for name in TELEMETRY_ROW_FIELDS:
+                row.pop(name, None)
             row["metrics"] = {
                 name: value
                 for name, value in row["metrics"].items()

@@ -88,7 +88,9 @@ def _simulation_metrics(result: SimulationResult) -> Dict[str, float]:
     ``funnel:<checkpoint>:`` keys (survival and conditional-failure rates
     per pipeline checkpoint).  Wall-clock telemetry rides along under
     ``perf:`` keys (elapsed seconds, receiver-round throughput, chunks
-    processed) — machine-dependent, so provenance rather than identity.
+    processed, and each engine phase's seconds as
+    ``perf:phase:<phase>_s``) — machine-dependent, so provenance rather
+    than identity.
     """
     metrics = result.summary()
     metrics["failure_rate"] = result.failure_rate()
@@ -99,6 +101,8 @@ def _simulation_metrics(result: SimulationResult) -> Dict[str, float]:
             metrics["perf:receiver_rounds_per_second"] = throughput
     if result.chunks:
         metrics["perf:chunks"] = float(result.chunks)
+    for phase, seconds in result.phase_seconds.items():
+        metrics[f"perf:phase:{phase}_s"] = seconds
     for stage, fraction in result.stage_failure_fractions().items():
         metrics[f"stage_failure:{stage.value}"] = fraction
     if result.funnel is not None:

@@ -8,9 +8,10 @@ scheduled — the PR 5-9 contracts), so a response is addressable by
     ``(variant_hash, seed, n_receivers, mode, rng_mode, rounds, task)``
 
 — the exact reproduction identity of :func:`repro.experiments.reproduce_row`
-minus ``chunk_workers``, which never changes the bits, and ``batch_size``,
-which does: chunk boundaries key the draw streams, so the same point at
-another batch size draws different receivers.  The service always runs at
+minus ``batch_size``, which does change the bits: chunk boundaries key
+the draw streams, so the same point at another batch size draws
+different receivers (a row's ``chunk_workers`` is telemetry, never
+identity).  The service always runs at
 the engine's default batch size, and :meth:`ResultCache.store` keeps rows
 recorded at any other batch size (an imported archive, say) out of the
 cache, so every cached simulated row was computed at that one value.

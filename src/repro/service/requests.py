@@ -7,11 +7,11 @@ the parameter the experiment layer would reject.  Engine knobs
 (``rounds``, ``rng_mode``, the habituation weights, ...) are accepted
 **only** inside ``params``: that keeps every bit-relevant input inside
 the row's ``variant_hash``, which is what makes the content-keyed cache
-(:mod:`repro.service.cache`) collision-free.  ``batch_size`` and
-``chunk_workers`` are not request fields at all, and neither is in a
-cache key.  ``chunk_workers`` never changes the bits.  ``batch_size``
-does, but the service always runs at the engine default, and the cache
-admits no row recorded at any other batch size.
+(:mod:`repro.service.cache`) collision-free.  ``batch_size`` is not a
+request field and not in a cache key.  It does change the bits, but the
+service always runs at the engine default, and the cache admits no row
+recorded at any other batch size.  Where the engine runs a row's chunks
+is its own choice; the row's ``chunk_workers`` records it as telemetry.
 
 :func:`run_with_cache` is the service's synchronous execution path: it
 plans an experiment into per-variant work units, serves any unit whose

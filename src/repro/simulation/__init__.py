@@ -27,6 +27,9 @@ Layering (shared with the analytic path in :mod:`repro.core`):
   outcome-coupled habituation threaded through multi-round runs.
 * :mod:`repro.simulation.metrics` accumulates streaming tallies so memory
   stays O(batch) rather than O(population).
+* :mod:`repro.simulation.pool` owns the one persistent local process
+  pool, which large multi-round runs and ``ProcessBackend`` sweeps fan
+  out over.
 
 Scenario-level entry points (population + calibration + system per case
 study) live in :mod:`repro.systems.scenario`.

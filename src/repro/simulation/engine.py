@@ -71,6 +71,19 @@ round by round.  Each round's outcomes stream into one
 exact integer sums of the per-round ones, keeping per-stage survival and
 conditional-failure analytics O(batch) in memory.
 
+**Fan-out.**  Chunks are pure functions of ``(seed, chunk index)``, so
+the engine may run them anywhere and fold their tallies in chunk order.
+A batch-mode run with ``rounds > 1``, at least two chunks and at least
+:data:`FAN_OUT_MIN_RECEIVER_ROUNDS` receiver-rounds splits its chunks
+into contiguous groups on the shared local pool
+(:mod:`repro.simulation.pool`), one group per usable CPU at most; every
+other run, and every run inside a multiprocessing child, stays serial.
+There is no knob: the result is bit-identical either way, and
+``SimulationResult.chunk_workers`` records how many processes the chunks
+ran on.  Each chunk times its phases
+(:data:`~repro.simulation.metrics.ENGINE_PHASES`) and the result sums
+them, so the phase times survive the fan-out.
+
 Outcome semantics mirror the case studies:
 
 * For **blocking** communications (the Firefox and active IE anti-phishing
@@ -87,14 +100,12 @@ Outcome semantics mirror the case studies:
 
 from __future__ import annotations
 
-import atexit
 import collections.abc
-import concurrent.futures
 import contextlib
 import dataclasses
 import threading
 import time
-from typing import Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -104,9 +115,11 @@ from ..core.pipeline import PipelinePlan, build_pipeline
 from ..core.task import HumanSecurityTask
 from . import batch as batch_module
 from . import habituation as habituation_module
+from . import pool
 from .attacker import AttackerModel
 from .calibration import StageCalibration
 from .metrics import (
+    ENGINE_PHASES,
     FunnelTally,
     ReceiverRecord,
     RoundTally,
@@ -122,6 +135,7 @@ __all__ = [
     "SIMULATION_MODES",
     "RNG_MODES",
     "NON_PROVENANCE_CONFIG_FIELDS",
+    "FAN_OUT_MIN_RECEIVER_ROUNDS",
 ]
 
 #: Supported execution modes (see module docstring).
@@ -171,11 +185,9 @@ class SimulationConfig:
     (see ``BENCH_trace.json``).
 
     ``rng_mode`` selects the decision-stream source (see
-    :data:`RNG_MODES`); ``chunk_workers`` fans the independent chunks of
-    one simulate call across that many worker processes, merging the
-    streaming tallies in chunk order — both rng modes derive chunk
-    randomness from (seed, chunk index) alone, so the merged result is
-    bit-identical to a serial run for any worker count.
+    :data:`RNG_MODES`).  Where the chunks run is not configurable: the
+    engine decides (see "Fan-out" in the module docstring), and the
+    result is bit-identical wherever they ran.
     """
 
     n_receivers: int = 500
@@ -191,7 +203,6 @@ class SimulationConfig:
     heed_weight: float = 1.0
     trace: bool = True
     rng_mode: str = "counter"
-    chunk_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.n_receivers < 0:
@@ -216,8 +227,6 @@ class SimulationConfig:
             raise SimulationError(
                 f"rng_mode must be one of {RNG_MODES}, got {self.rng_mode!r}"
             )
-        if self.chunk_workers < 1:
-            raise SimulationError("chunk_workers must be >= 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -261,23 +270,73 @@ class _ChunkPartial:
 
     round_tallies: List[RoundTally]
     round_funnels: List[FunnelTally]
+    phase_seconds: Dict[str, float] = dataclasses.field(
+        default_factory=dict, compare=False
+    )
+
+
+class _PhaseClock:
+    """Wall time per engine phase, lap by lap.
+
+    Each :meth:`lap` charges the time since the previous lap to one
+    phase, so consecutive laps cover the chunk without a gap.
+    """
+
+    def __init__(self, clock: Callable[[], float]) -> None:
+        self._clock = clock
+        self.seconds = dict.fromkeys(ENGINE_PHASES, 0.0)
+        self._last = clock()
+
+    def lap(self, phase: str) -> None:
+        now = self._clock()
+        self.seconds[phase] += now - self._last
+        self._last = now
+
+
+def _chunk_specs(
+    plan: PipelinePlan, population: PopulationSpec, config: SimulationConfig
+) -> List[_ChunkSpec]:
+    """One run's chunks of ``batch_size`` receivers, in chunk order."""
+    return [
+        _ChunkSpec(
+            plan=plan,
+            population=population,
+            base_seed=config.seed,
+            chunk_index=chunk_index,
+            offset=offset,
+            size=min(config.batch_size, config.n_receivers - offset),
+            mode=config.mode,
+            rng_mode=config.rng_mode,
+            rounds=config.rounds,
+            recovery_rate=config.recovery_rate,
+            dismiss_weight=config.dismiss_weight,
+            heed_weight=config.heed_weight,
+            want_trace=bool(config.trace),
+        )
+        for chunk_index, offset in enumerate(
+            range(0, config.n_receivers, config.batch_size)
+        )
+    ]
 
 
 def _simulate_chunk(
     spec: _ChunkSpec,
     buffers: Optional[DrawBuffers] = None,
     records: Optional[List[ReceiverRecord]] = None,
+    clock: Callable[[], float] = time.perf_counter,
 ) -> _ChunkPartial:
     """Advance one chunk of receivers through every hazard-encounter round.
 
     The extracted body of the engine's chunk loop, shared by the serial
-    path, the in-call multicore path (``chunk_workers > 1``) and record
+    path, the pool groups (:func:`_simulate_group`) and record
     regeneration.  Integer tallies merged in chunk order reproduce the
     streaming serial fold bit for bit.  Counter draws recycle ``buffers``
     from round to round (fresh arrays without them; the matrix replay
     adapter ignores them).  With a ``records`` list, each round's records
-    are appended to it while that round's draws are still live.
+    are appended to it while that round's draws are still live.  The
+    partial carries the chunk's phase times, read from ``clock``.
     """
+    laps = _PhaseClock(clock)
     plan = spec.plan
     partial = _ChunkPartial(
         round_tallies=[RoundTally(round_index=index) for index in range(spec.rounds)],
@@ -289,6 +348,7 @@ def _simulate_chunk(
     draws = batch_module.draw_batch_counter(
         plan, spec.population, spec.size, cell, buffers=buffers
     )
+    laps.lap("simulation.traits")
     # Single-shot runs never read the exposure state; keep that hot path
     # allocation-free.
     exposures = (
@@ -296,6 +356,7 @@ def _simulate_chunk(
         if spec.rounds > 1
         else None
     )
+    laps.lap("simulation.habituation")
     # Only exposure and noise change between rounds, so a multi-round batch
     # chunk computes every other stage term once.  Single-round chunks
     # have nothing to share, and the reference oracle keeps recomputing
@@ -305,6 +366,7 @@ def _simulate_chunk(
         if spec.rounds > 1 and spec.mode == "batch" and plan.has_communication
         else None
     )
+    laps.lap("core.pipeline")
     for round_index in range(spec.rounds):
         if round_index:
             # Same receivers, fresh encounter randomness from the round's
@@ -313,6 +375,7 @@ def _simulate_chunk(
             draws = batch_module.redraw_decisions_counter(
                 plan, draws.samples, cell.for_round(round_index), buffers=buffers
             )
+            laps.lap("simulation.encounter")
         # Round 0 keeps the communication's scalar baked-in count (the
         # single-shot reading); later rounds thread the evolved
         # per-receiver array.
@@ -328,6 +391,7 @@ def _simulate_chunk(
                 trace="counts" if spec.want_trace else False,
                 terms=terms,
             )
+            laps.lap("core.pipeline")
             round_tally.add_batch(outcomes)
             if round_funnel is not None:
                 round_funnel.add_counts(outcomes.funnel_counts)
@@ -337,6 +401,7 @@ def _simulate_chunk(
                         outcomes, draws, start_index=spec.offset, round_index=round_index
                     )
                 )
+            laps.lap("simulation.metrics")
             protected = outcomes.protected
         else:
             # Reference mode: the same traversal kernel at width 1, one
@@ -367,6 +432,7 @@ def _simulate_chunk(
                     records.append(record)
                 if advancing:
                     protected[row] = bool(row_outcomes.protected[0])
+            laps.lap("core.pipeline")
         if advancing:
             # Outcome-coupled accrual: delivery (spoof draws) says who the
             # communication reached, the realized outcomes say how hard
@@ -382,7 +448,19 @@ def _simulate_chunk(
                 dismiss_weight=spec.dismiss_weight,
                 heed_weight=spec.heed_weight,
             )
+            laps.lap("simulation.habituation")
+    partial.phase_seconds = laps.seconds
     return partial
+
+
+def _simulate_group(specs: Sequence[_ChunkSpec]) -> List[_ChunkPartial]:
+    """One pool task: a contiguous group of a run's chunks, in chunk order.
+
+    The group's chunks draw through one :class:`DrawBuffers` local to
+    the task, so pool workers keep no draw state between tasks.
+    """
+    buffers = DrawBuffers()
+    return [_simulate_chunk(spec, buffers) for spec in specs]
 
 
 class _RecordSequence(collections.abc.Sequence):
@@ -430,59 +508,29 @@ class _RecordSequence(collections.abc.Sequence):
         return (list, (self._materialized(),))
 
 
-# One process pool per interpreter, reused across simulate calls so
-# small-N parallel runs stop paying executor spin-up (~100ms on spawn
-# platforms) per call.  The pool is keyed to the exact concurrency of
-# the last call — sweeps run thousands of calls at one fixed
-# ``chunk_workers`` and hit the cached pool every time; changing the
-# worker count pays a single respin.  (An oversized shared pool would be
-# reusable too, but ``pool.map`` would then run more chunks concurrently
-# than the caller's ``chunk_workers`` cap allows.)  ``_POOL_LOCK`` is
-# held from pool lookup to the end of the map, so a thread asking for
-# another worker count never shuts down a pool that is still mapping;
-# concurrent parallel calls take turns on the pool's processes.
-_POOL_LOCK = threading.RLock()
-_POOL: Optional[concurrent.futures.ProcessPoolExecutor] = None
-_POOL_WORKERS = 0
+#: The smallest multi-round run, in receiver-rounds, whose chunks fan out.
+#: Below it, shipping the work to the pool costs more than the second core
+#: saves (2-vCPU container, medians of alternating calls; see CHANGES.md).
+FAN_OUT_MIN_RECEIVER_ROUNDS = 50_000
 
 
-def _replace_pool(workers: int, wait: bool = False) -> None:
-    """Shut the pool down and start one of ``workers`` processes (0: none)."""
-    # repro-lint: allow REP008 — rebound only under _POOL_LOCK
-    global _POOL, _POOL_WORKERS
-    with _POOL_LOCK:
-        if _POOL is not None:
-            _POOL.shutdown(wait=wait, cancel_futures=True)
-        _POOL = (
-            concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-            if workers
-            else None
-        )
-        _POOL_WORKERS = workers
+def _fan_out(config: SimulationConfig, chunks: int) -> int:
+    """How many pool groups a run's chunks split into; 1 runs them here.
 
-
-# Join pool workers before interpreter teardown dismantles modules.
-atexit.register(_replace_pool, 0, wait=True)
-
-
-def _run_chunks_parallel(
-    specs: List[_ChunkSpec], workers: int
-) -> List[_ChunkPartial]:
-    """Fan chunk specs across the persistent pool, in spec order.
-
-    Workers receive coordinates and return integer tallies only.  A
-    worker process killed mid-call breaks the shared executor; the one
-    retry rebuilds the pool and recomputes every chunk (chunks are pure
-    functions of their spec, so the retry cannot change results).
+    Only batch-mode runs with ``rounds > 1``, at least two chunks and at
+    least :data:`FAN_OUT_MIN_RECEIVER_ROUNDS` receiver-rounds fan out,
+    and never from inside a multiprocessing child.  One-round runs stay
+    serial: their chunks are too short to pay for the dispatch.
     """
-    with _POOL_LOCK:
-        if _POOL is None or _POOL_WORKERS != workers:
-            _replace_pool(workers)
-        try:
-            return list(_POOL.map(_simulate_chunk, specs))
-        except concurrent.futures.process.BrokenProcessPool:
-            _replace_pool(workers)
-            return list(_POOL.map(_simulate_chunk, specs))
+    if (
+        config.mode != "batch"
+        or config.rounds < 2
+        or chunks < 2
+        or config.n_receivers * config.rounds < FAN_OUT_MIN_RECEIVER_ROUNDS
+        or not pool.can_fan_out()
+    ):
+        return 1
+    return min(chunks, pool.usable_cpus())
 
 
 class HumanLoopSimulator:
@@ -515,7 +563,6 @@ class HumanLoopSimulator:
         heed_weight: Optional[float] = None,
         trace: Optional[bool] = None,
         rng_mode: Optional[str] = None,
-        chunk_workers: Optional[int] = None,
     ) -> SimulationResult:
         """Simulate ``n_receivers`` independent receivers encountering the task.
 
@@ -534,11 +581,10 @@ class HumanLoopSimulator:
         ``trace`` toggles the streaming per-stage funnel tallies.
 
         ``rng_mode`` selects the decision-stream source ("matrix" or
-        "counter", see :data:`RNG_MODES`) and ``chunk_workers`` fans the
-        run's independent chunks across that many worker processes;
-        neither changes the simulated outcomes within its rng mode — a
-        parallel run merges chunk partials in chunk order and is
-        bit-identical to the serial fold.
+        "counter", see :data:`RNG_MODES`).  A large multi-round run fans
+        its chunks out over the local pool (see "Fan-out" in the module
+        docstring); the partials merge in chunk order, bit-identical to
+        the serial fold.
         """
         overrides = {
             "n_receivers": n_receivers,
@@ -550,7 +596,6 @@ class HumanLoopSimulator:
             "heed_weight": heed_weight,
             "trace": trace,
             "rng_mode": rng_mode,
-            "chunk_workers": chunk_workers,
         }
         # SimulationConfig validates every knob, per-call overrides included.
         config = dataclasses.replace(
@@ -579,45 +624,23 @@ class HumanLoopSimulator:
             dismiss_weight=config.dismiss_weight,
             heed_weight=config.heed_weight,
             rng_mode=config.rng_mode,
-            chunk_workers=config.chunk_workers,
+            phase_seconds=dict.fromkeys(ENGINE_PHASES, 0.0),
         )
 
-        specs: List[_ChunkSpec] = []
-        offset = 0
-        while offset < count:
-            size = min(config.batch_size, count - offset)
-            specs.append(
-                _ChunkSpec(
-                    plan=plan,
-                    population=population,
-                    base_seed=config.seed,
-                    chunk_index=len(specs),
-                    offset=offset,
-                    size=size,
-                    mode=mode,
-                    rng_mode=config.rng_mode,
-                    rounds=rounds,
-                    recovery_rate=config.recovery_rate,
-                    dismiss_weight=config.dismiss_weight,
-                    heed_weight=config.heed_weight,
-                    want_trace=want_trace,
-                )
-            )
-            offset += size
-
-        if config.chunk_workers > 1 and len(specs) > 1:
-            # Each chunk is self-contained (randomness keyed by (seed,
-            # chunk index) alone), so fan the specs across the persistent
-            # pool and fold the partials back in chunk order —
-            # bit-identical to the serial path for any worker count.
-            partials = _run_chunks_parallel(
-                specs, min(config.chunk_workers, len(specs))
+        specs = _chunk_specs(plan, population, config)
+        groups = _fan_out(config, len(specs))
+        if groups > 1:
+            partials, result.chunk_workers = pool.run_groups(
+                _simulate_group, specs, groups
             )
         else:
             with self._draw_buffers() as buffers:
                 partials = [_simulate_chunk(spec, buffers) for spec in specs]
 
+        folding = time.perf_counter()
         for partial in partials:
+            for phase, seconds in partial.phase_seconds.items():
+                result.phase_seconds[phase] += seconds
             for round_tally, partial_round in zip(result.round_tallies, partial.round_tallies):
                 round_tally.merge(partial_round)
             for funnel, partial_funnel in zip(result.round_funnels, partial.round_funnels):
@@ -626,6 +649,7 @@ class HumanLoopSimulator:
             result.tally.merge(round_tally)
         for funnel in result.round_funnels:
             result.funnel.merge(funnel)
+        result.phase_seconds["simulation.metrics"] += time.perf_counter() - folding
         if mode == "reference" or count * rounds <= config.record_limit:
             result.records = _RecordSequence(specs)
         result.chunks = len(specs)

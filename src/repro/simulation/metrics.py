@@ -33,6 +33,7 @@ __all__ = [
     "RoundTally",
     "FunnelTally",
     "SimulationResult",
+    "ENGINE_PHASES",
     "comparison_table",
     "render_comparison_markdown",
 ]
@@ -344,6 +345,18 @@ class FunnelTally:
         }
 
 
+#: The engine's phases, named after the layers of the perfbench ledger:
+#: trait draws (with round 0's decisions), later rounds' encounter
+#: redraws, kernel traversal, tally folds and exposure updates.
+ENGINE_PHASES = (
+    "simulation.traits",
+    "simulation.encounter",
+    "core.pipeline",
+    "simulation.metrics",
+    "simulation.habituation",
+)
+
+
 @dataclasses.dataclass
 class SimulationResult:
     """Aggregated result of simulating one task over a population.
@@ -392,11 +405,15 @@ class SimulationResult:
     results): ``rng_mode`` records which decision-stream source drew the
     run's randomness (``"matrix"`` / ``"counter"``; it is part of the
     reproducibility tuple — the two sources draw different streams),
-    ``chunk_workers`` how many processes the chunks fanned across inside
-    the call (the *merged result* is bit-identical for any worker count,
-    so it is telemetry, not identity), ``chunks`` how many chunks the run
-    processed, and ``elapsed_seconds`` the wall-clock the call took — so
-    every sweep doubles as throughput telemetry.
+    ``chunk_workers`` how many processes the engine spread the chunks
+    across (1 unless it fanned them out over the local pool; the merged
+    result is bit-identical either way, so it is telemetry, not
+    identity), ``chunks`` how many chunks the run processed, and
+    ``elapsed_seconds`` the wall-clock the call took — so every sweep
+    doubles as throughput telemetry.  ``phase_seconds`` maps each of
+    :data:`ENGINE_PHASES` to the wall time spent in it, summed over the
+    chunks wherever they ran (so a fanned-out run's phases can add up to
+    more than its ``elapsed_seconds``).
     """
 
     task_name: str
@@ -418,6 +435,7 @@ class SimulationResult:
     chunk_workers: int = 1
     chunks: int = 0
     elapsed_seconds: Optional[float] = None
+    phase_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.task_name:

@@ -19,9 +19,10 @@ Every registered scenario automatically accepts the **common** parameters
 calibration's noise / intention / capability knobs, and the engine knobs
 (``rounds`` / ``recovery_rate``, the outcome-coupled habituation weights
 ``dismiss_weight`` / ``heed_weight``, the funnel ``trace`` toggle, and
-the engine performance knobs ``rng_mode`` / ``chunk_workers`` — all of
-which become the bound variant's simulation defaults rather than
-touching the component build).
+the decision-stream source ``rng_mode`` — all of which become the bound
+variant's simulation defaults rather than touching the component build;
+where the engine runs a variant's chunks is its own choice, not a
+parameter).
 Scenarios with a domain binder (passwords, anti-phishing) add their own
 typed parameters on top — see
 :func:`repro.systems.passwords.parameter_space`.
@@ -247,7 +248,6 @@ COMMON_PARAMETER_NAMES = (
     "heed_weight",
     "trace",
     "rng_mode",
-    "chunk_workers",
 )
 
 #: The common knobs consumed by the engine (simulation defaults of a bound
@@ -259,7 +259,6 @@ SIMULATION_PARAMETER_NAMES = (
     "heed_weight",
     "trace",
     "rng_mode",
-    "chunk_workers",
 )
 
 
@@ -366,18 +365,6 @@ def common_parameter_space() -> ParameterSpace:
                     "Decision-stream source: 'counter' (O(1)-addressable keyed "
                     "streams, the engine default) or 'matrix' (the sequential "
                     "legacy layout, kept replayable for archived rows)."
-                ),
-            ),
-            Parameter(
-                "chunk_workers",
-                "int",
-                default=None,
-                low=1,
-                high=256,
-                allow_none=True,
-                description=(
-                    "Worker processes simulating the chunks of one run "
-                    "(bit-identical to serial for any count)."
                 ),
             ),
         ]

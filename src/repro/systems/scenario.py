@@ -220,9 +220,9 @@ class _ScenarioPaths:
 
         ``config_overrides`` flow into :class:`SimulationConfig` — e.g.
         ``rounds=10, recovery_rate=0.2`` runs the multi-round engine over
-        this scenario, ``rng_mode="counter"`` / ``chunk_workers=4`` select
-        the engine's decision-stream source and in-call parallelism
-        (explicit overrides win over a bound variant's knobs).
+        this scenario, and ``rng_mode="matrix"`` selects the engine's
+        decision-stream source (explicit overrides win over a bound
+        variant's knobs).
         """
         components = self.components()
         components.system.validate()

@@ -6,6 +6,8 @@ order), checkpoint/resume (no recomputation of finished rows), and
 backend selection.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (
@@ -63,7 +65,7 @@ class TestBackendSelection:
         assert canonical(experiment.run()) == canonical(serial)
 
     def test_process_backend_identical_to_serial(self, experiment, serial):
-        parallel = experiment.run(backend=ProcessBackend(max_workers=2))
+        parallel = experiment.run(backend=ProcessBackend())
         assert canonical(parallel) == canonical(serial)
 
     def test_non_backend_rejected(self, experiment):
@@ -85,9 +87,11 @@ class TestBackendSelection:
     def test_resolve_defaults_to_serial(self):
         assert isinstance(resolve_backend(), SerialBackend)
 
-    def test_process_backend_validates_workers(self):
-        with pytest.raises(ExperimentError):
-            ProcessBackend(max_workers=0)
+    def test_process_backend_has_no_worker_knob(self):
+        # The shared pool is sized to the usable CPUs; there is nothing to set.
+        assert dataclasses.fields(ProcessBackend) == ()
+        with pytest.raises(TypeError):
+            ProcessBackend(max_workers=2)
 
 
 class TestShardPlans:

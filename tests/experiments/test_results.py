@@ -148,16 +148,26 @@ class TestRecommendations:
 class TestCanonicalDict:
     def test_wall_clock_metrics_are_pinned(self):
         # The cluster scheduler, the benchmarks, and every bit-identity
-        # test compare result sets modulo exactly these two keys; adding
-        # or renaming one silently weakens all of those comparisons, so
-        # the tuple is pinned here.
+        # test compare result sets modulo exactly these keys; adding or
+        # renaming one silently weakens all of those comparisons, so the
+        # tuple is pinned here: the call's wall clock plus one entry per
+        # engine phase.
         from repro.experiments import WALL_CLOCK_METRICS
         from repro.experiments import results as results_module
         from repro.experiments import runner as runner_module
+        from repro.simulation.metrics import ENGINE_PHASES
 
         assert WALL_CLOCK_METRICS == (
             "perf:elapsed_seconds",
             "perf:receiver_rounds_per_second",
+            "perf:phase:simulation.traits_s",
+            "perf:phase:simulation.encounter_s",
+            "perf:phase:core.pipeline_s",
+            "perf:phase:simulation.metrics_s",
+            "perf:phase:simulation.habituation_s",
+        )
+        assert WALL_CLOCK_METRICS[2:] == tuple(
+            f"perf:phase:{phase}_s" for phase in ENGINE_PHASES
         )
         # One canonical object, re-exported everywhere it is consumed.
         assert results_module.WALL_CLOCK_METRICS is WALL_CLOCK_METRICS
@@ -165,6 +175,7 @@ class TestCanonicalDict:
 
     def test_canonical_dict_strips_exactly_the_wall_clock_metrics(self, results):
         from repro.experiments import WALL_CLOCK_METRICS
+        from repro.experiments.results import TELEMETRY_ROW_FIELDS
 
         full = resultset_to_dict(results)
         canonical = results.canonical_dict()
@@ -177,9 +188,12 @@ class TestCanonicalDict:
                 if name not in WALL_CLOCK_METRICS
             }
             assert canonical_row["metrics"] == kept
-        # Nothing else differs: stripping metrics is the whole transform.
+        # Nothing else differs: stripping those metrics and the telemetry
+        # row fields is the whole transform.
         stripped = resultset_to_dict(results)
         for row in stripped["rows"]:
+            for name in TELEMETRY_ROW_FIELDS:
+                del row[name]
             row["metrics"] = {
                 name: value
                 for name, value in row["metrics"].items()

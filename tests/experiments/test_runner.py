@@ -95,7 +95,7 @@ class TestExecution:
 
         experiment = _experiment()
         serial = experiment.run()
-        parallel = experiment.run(backend=ProcessBackend(max_workers=2))
+        parallel = experiment.run(backend=ProcessBackend())
         assert _canonical(parallel) == _canonical(serial)
 
     def test_rows_reproduce_exactly(self):

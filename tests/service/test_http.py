@@ -394,3 +394,91 @@ class TestHandlerThreads:
             assert not thread.is_alive()
         finally:
             server.server_close()
+
+
+class TestPoolFanOutBehindTheServer:
+    """A job big enough to fan out forks the pool from the threaded server.
+
+    Handler threads and the job worker are running when the pool starts,
+    so this is where a fork could deadlock; every wait has a deadline.
+    """
+
+    BIG = {
+        "scenario": "antiphishing",
+        "n_receivers": 60_000,
+        "seed": 11,
+        "params": {"rounds": 3},
+    }
+
+    @staticmethod
+    def _finished_job(port: int, job_id: str, while_waiting: Any) -> Dict[str, Any]:
+        deadline = time.monotonic() + 120
+        while True:
+            while_waiting()
+            job = http_call(port, "GET", f"/jobs/{job_id}")[1]["job"]
+            if job["status"] in ("done", "failed"):
+                return job
+            assert time.monotonic() < deadline, job
+
+    def test_async_job_fans_out_while_hits_go_on(self, tmp_path, monkeypatch):
+        from repro.io import resultset_from_dict
+        from repro.service import ServiceConfig, create_app
+        from repro.service.requests import build_experiment
+        from repro.simulation import engine as engine_module
+        from repro.simulation import pool as pool_module
+
+        # Start the next fan-out on a fresh fork, from inside the server.
+        current = pool_module._POOL._current()
+        pool_module._POOL._discard(current)
+
+        app = create_app(ServiceConfig(data_dir=str(tmp_path / "service")))
+        server = build_server(app, "127.0.0.1", 0)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        hits: List[str] = []
+        try:
+            port = server.server_port
+            status, warm = http_call(port, "POST", "/simulate", body=POINT)
+            assert status == 200
+
+            def hit() -> None:
+                status, payload = http_call(port, "POST", "/simulate", body=POINT)
+                assert status == 200
+                hits.append(canonical(payload["resultset"]))
+
+            status, submitted = http_call(port, "POST", "/simulate", body=self.BIG)
+            assert status == 202
+            job_id = submitted["job"]["job_id"]
+            job = self._finished_job(port, job_id, hit)
+            assert job["status"] == "done", job
+            assert job["summary"]["from_cache"] is False
+            first = http_call(port, "GET", f"/results/{job_id}")[1]["resultset"]
+
+            status, again = http_call(port, "POST", "/simulate", body=self.BIG)
+            assert status == 202
+            repeat_id = again["job"]["job_id"]
+            repeat = self._finished_job(port, repeat_id, lambda: None)
+            assert repeat["summary"]["from_cache"] is True
+            second = http_call(port, "GET", f"/results/{repeat_id}")[1]["resultset"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            app.state.close()
+
+        assert hits and set(hits) == {canonical(warm["resultset"])}
+        (row,) = first["rows"]
+        expected_workers = (
+            min(3, pool_module.usable_cpus()) if pool_module.can_fan_out() else 1
+        )
+        assert row["chunk_workers"] == expected_workers
+        # The repeat serves the first computation's bytes, telemetry included.
+        assert canonical(second["rows"][0]) == canonical(row)
+
+        pool_module.run_groups(list, [None], 1)  # fork before patching the rule
+        monkeypatch.setattr(engine_module, "_fan_out", lambda config, chunks: 1)
+        serial = build_experiment(self.BIG, default_name=job_id).run()
+        assert serial.rows[0].chunk_workers == 1
+        assert resultset_from_dict(first).canonical_dict() == serial.canonical_dict()

@@ -5,7 +5,8 @@ single receiver×round decision recomputed from its ``(seed, chunk,
 round, stream, receiver)`` coordinates alone must equal the value the
 bulk batch draw produced, bit for bit.  On top of that sit the engine
 contracts: counter-mode batch == counter-mode reference per round, and
-``chunk_workers=N`` bit-identical to the serial fold for any N.
+chunks fanned out over the process pool bit-identical to the serial
+fold for any group count.
 """
 
 import concurrent.futures
@@ -17,11 +18,13 @@ import pytest
 from repro.core.exceptions import SimulationError
 from repro.simulation import batch as batch_module
 from repro.simulation import engine as engine_module
+from repro.simulation import pool as pool_module
 from repro.simulation.engine import (
     RNG_MODES,
     HumanLoopSimulator,
     SimulationConfig,
 )
+from repro.simulation.metrics import ENGINE_PHASES, SimulationResult
 from repro.simulation.population import general_web_population
 from repro.simulation.rng import (
     AGE_STREAMS,
@@ -234,19 +237,33 @@ class TestCounterModeEngine:
         assert small.tally.summary() != whole.tally.summary()
 
 
+def _force_groups(monkeypatch, rule):
+    """Fan every call's chunks into ``rule(config)`` pool groups (1: serial).
+
+    The pool starts first: workers forked while the rule is patched
+    would keep the patched rule for good.
+    """
+    pool_module.run_groups(list, [None], 1)
+    monkeypatch.setattr(engine_module, "_fan_out", lambda config, chunks: rule(config))
+
+
 class TestChunkWorkerDeterminism:
-    """In-call multicore: partial merges bit-identical to the serial fold."""
+    """Pool fan-out: partial merges bit-identical to the serial fold."""
 
     @pytest.mark.parametrize("rng_mode", RNG_MODES)
-    def test_worker_counts_are_bit_identical(self, warning_task, population, rng_mode):
+    def test_worker_counts_are_bit_identical(
+        self, warning_task, population, rng_mode, monkeypatch
+    ):
         simulator = _simulator(rng_mode=rng_mode)
         serial = simulator.simulate_task(
             warning_task, population, n_receivers=2_000, rounds=2, recovery_rate=0.3
         )
-        for workers in (1, 2, 4):
+        assert serial.chunk_workers == 1
+        for groups in (1, 2, 4):
+            _force_groups(monkeypatch, lambda config: groups)
             parallel = simulator.simulate_task(
                 warning_task, population, n_receivers=2_000, rounds=2,
-                recovery_rate=0.3, chunk_workers=workers,
+                recovery_rate=0.3,
             )
             assert parallel.tally.summary() == serial.tally.summary()
             assert [tally.summary() for tally in parallel.round_tallies] == [
@@ -255,33 +272,39 @@ class TestChunkWorkerDeterminism:
             assert parallel.funnel.entered == serial.funnel.entered
             assert parallel.funnel.passed == serial.funnel.passed
             assert list(parallel.records) == list(serial.records)
-            assert parallel.chunk_workers == workers
+            assert parallel.chunk_workers == min(groups, pool_module.usable_cpus())
             assert parallel.chunks == serial.chunks == 5
 
     def test_threads_at_different_worker_counts_equal_serial(
-        self, warning_task, population
+        self, warning_task, population, monkeypatch
     ):
-        # A call asking for another worker count must not shut down the
-        # pool a concurrent call is still mapping on.
-        serial = _simulator().simulate_task(
-            warning_task, population, n_receivers=2_000, rounds=2
-        )
+        # Calls fanning out at different group counts share one pool and
+        # must not disturb each other.
+        serial = {
+            seed: _simulator(seed=seed).simulate_task(
+                warning_task, population, n_receivers=2_000, rounds=2
+            )
+            for seed in (0, 1)
+        }
+        _force_groups(monkeypatch, lambda config: 2 + config.seed)
 
-        def run(workers):
-            return _simulator().simulate_task(
-                warning_task, population, n_receivers=2_000, rounds=2,
-                chunk_workers=workers,
+        def run(seed):
+            return seed, _simulator(seed=seed).simulate_task(
+                warning_task, population, n_receivers=2_000, rounds=2
             )
 
-        with concurrent.futures.ThreadPoolExecutor(4) as pool:
-            results = list(pool.map(run, (2, 3) * 6))
-        for result in results:
-            assert result.tally == serial.tally
-            assert result.funnel.entered == serial.funnel.entered
+        with concurrent.futures.ThreadPoolExecutor(4) as threads:
+            results = list(threads.map(run, (0, 1) * 6))
+        for seed, result in results:
+            assert result.tally == serial[seed].tally
+            assert result.funnel.entered == serial[seed].funnel.entered
 
     def test_chunk_workers_validated(self):
+        # A telemetry field on the result now, not a configuration knob.
         with pytest.raises(SimulationError):
-            SimulationConfig(chunk_workers=0)
+            SimulationResult(task_name="t", population_name="p", chunk_workers=0)
+        with pytest.raises(TypeError):
+            SimulationConfig(chunk_workers=2)
 
     def test_perf_provenance_recorded(self, warning_task, population):
         result = _simulator().simulate_task(warning_task, population, n_receivers=900)
@@ -427,24 +450,29 @@ class TestDefaultRngMode:
 
 
 class TestZeroCopyDispatch:
-    """Parallel workers ship integer tallies only, in both rng modes."""
+    """Pool workers ship integer tallies and phase times only, in both rng modes."""
 
     def _run_spied(self, rng_mode, warning_task, population, monkeypatch):
+        _force_groups(monkeypatch, lambda config: 2)
         shipped = []
-        real = engine_module._run_chunks_parallel
+        real = pool_module.run_groups
 
-        def spy(specs, workers):
-            partials = real(specs, workers)
+        def spy(fn, items, groups):
+            partials, workers = real(fn, items, groups)
             shipped.extend(partials)
-            return partials
+            return partials, workers
 
-        monkeypatch.setattr(engine_module, "_run_chunks_parallel", spy)
+        monkeypatch.setattr(pool_module, "run_groups", spy)
         result = _simulator(rng_mode=rng_mode).simulate_task(
-            warning_task, population, n_receivers=1_200, chunk_workers=2
+            warning_task, population, n_receivers=1_200
         )
         assert len(shipped) == 3
         for partial in shipped:
-            assert set(vars(partial)) == {"round_tallies", "round_funnels"}
+            assert set(vars(partial)) == {
+                "round_tallies", "round_funnels", "phase_seconds"
+            }
+            assert set(partial.phase_seconds) == set(ENGINE_PHASES)
+            assert all(isinstance(s, float) for s in partial.phase_seconds.values())
         serial = _simulator(rng_mode=rng_mode).simulate_task(
             warning_task, population, n_receivers=1_200
         )

@@ -200,7 +200,6 @@ class TestDrawPathLookups:
             n_receivers=1003,
             rounds=3,
             rng_mode=rng_mode,
-            chunk_workers=1,
         )
         assert calls["draw_batch_counter"] == [(0, 0), (1, 0), (2, 0)]
         # Round 0 redraws inside draw_batch_counter; rounds 1 and 2 come
