@@ -7,9 +7,23 @@ model construction, analysis, simulation, or serialization.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
-    """Base class for every error raised by this library."""
+    """Base class for every error raised by this library.
+
+    An error that rejects one named input says which: ``parameter`` names
+    a parameter (or the scenario) whose *value* was rejected, ``field`` a
+    malformed input field.  The service copies either into its error body.
+    """
+
+    def __init__(
+        self, *args: object, parameter: Optional[str] = None, field: Optional[str] = None
+    ) -> None:
+        super().__init__(*args)
+        self.parameter = parameter
+        self.field = field
 
 
 class ModelError(ReproError):

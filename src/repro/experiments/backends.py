@@ -21,7 +21,11 @@ run it* — any object satisfying the :class:`ExecutionBackend` protocol:
 the loop: it loads every shard file in a checkpoint directory, validates
 the headers and every row it would serve against the experiment, runs
 only the rows that are missing, and returns the full canonical
-:class:`ResultSet` — identical to an uninterrupted serial run.
+:class:`ResultSet` — identical to an uninterrupted serial run.  Which
+rows a work unit produces, and what each records about how it was
+computed, is the unit's own answer
+(:meth:`~repro.experiments.runner.VariantRun.expected_rows`): this module
+checkpoints and checks rows against it and keeps no copy of the rules.
 """
 
 from __future__ import annotations
@@ -47,8 +51,6 @@ from ..io.shards import (
     shard_filename,
 )
 from ..simulation import pool
-from ..simulation.engine import SimulationConfig
-from ..systems.scenario import variant_hash as compute_variant_hash
 from .design import Experiment
 from .results import ExperimentError, ResultRow, ResultSet
 from .runner import VariantRun, plan_runs, resolved_task_name, run_variant
@@ -137,10 +139,6 @@ class ShardPlan:
             "n_variants": self.n_variants,
         }
 
-    def expected_row_keys(self) -> List[Tuple[str, str, str]]:
-        """Every row identity this shard will produce, in emission order."""
-        return [key for run in self.runs for key in _expected_row_keys(run)]
-
 
 def shard_plans(experiment: Experiment, shard_count: int) -> List[ShardPlan]:
     """Deterministically partition an experiment across ``shard_count`` shards.
@@ -163,17 +161,6 @@ def shard_plans(experiment: Experiment, shard_count: int) -> List[ShardPlan]:
         )
         for index in range(shard_count)
     ]
-
-
-def _expected_row_keys(run: VariantRun) -> List[Tuple[str, str, str]]:
-    """The row identities one work unit produces, in emission order."""
-    point_hash = compute_variant_hash(run.scenario, run.params)
-    keys: List[Tuple[str, str, str]] = []
-    if "analyze" in run.paths:
-        keys.append((run.label, point_hash, "analytic"))
-    if "simulate" in run.paths:
-        keys.append((run.label, point_hash, run.mode))
-    return keys
 
 
 @dataclasses.dataclass(frozen=True)
@@ -238,7 +225,7 @@ def _run_with_checkpoint(
     try:
         notify()
         for run in runs:
-            keys = _expected_row_keys(run)
+            keys = list(run.expected_rows())
             if all(key in completed for key in keys):
                 rows.extend(completed[key] for key in keys)
             else:
@@ -281,27 +268,18 @@ def _validate_header(
         )
 
 
-#: The ``batch_size`` a row records when its experiment leaves it unset.
-_ENGINE_DEFAULT_BATCH_SIZE = int(
-    SimulationConfig.__dataclass_fields__["batch_size"].default  # type: ignore[arg-type]
-)
-
-
 def _validate_row(
-    row: ResultRow, run: VariantRun, task: str, path: Path
+    row: ResultRow, fields: Mapping[str, Any], task: str, path: Path
 ) -> None:
     """Reject a checkpointed row its work unit would not have produced.
 
     ``row_key`` pins only the variant's label, parameters and mode, so a
-    row recorded under another seed, size, chunking or task would
-    otherwise be served as this experiment's result.
+    row recorded under another seed, size, chunking, engine setting or
+    task would otherwise be served as this experiment's result.
+    ``fields`` is the row's entry in its unit's
+    :meth:`~repro.experiments.runner.VariantRun.expected_rows`.
     """
-    expected: Dict[str, Any] = {"task": task}
-    if row.simulated:
-        expected["seed"] = run.seed
-        expected["n_receivers"] = run.n_receivers
-        expected["batch_size"] = run.batch_size or _ENGINE_DEFAULT_BATCH_SIZE
-    for name, wanted in expected.items():
+    for name, wanted in {"task": task, **fields}.items():
         found = getattr(row, name)
         if found != wanted:
             raise ExperimentError(
@@ -321,7 +299,11 @@ def _load_completed(
     anything runs (:func:`_validate_row`), so a mismatch raises before a
     single row is appended.
     """
-    units = {key: run for run in plan_runs(experiment) for key in _expected_row_keys(run)}
+    units = {
+        key: (run, fields)
+        for run in plan_runs(experiment)
+        for key, fields in run.expected_rows().items()
+    }
     tasks: Dict[int, str] = {}
     completed: Dict[Tuple[str, str, str], ResultRow] = {}
     origin: Dict[Tuple[str, str, str], Path] = {}
@@ -336,11 +318,12 @@ def _load_completed(
                     f"checkpoint clash: row {row.variant!r} (mode {row.mode!r}) "
                     f"appears in both {str(origin[key])!r} and {str(path)!r}"
                 )
-            run = units.get(key)
-            if run is not None:
+            unit = units.get(key)
+            if unit is not None:
+                run, fields = unit
                 if run.variant_index not in tasks:
                     tasks[run.variant_index] = resolved_task_name(run)
-                _validate_row(row, run, tasks[run.variant_index], path)
+                _validate_row(row, fields, tasks[run.variant_index], path)
             completed[key] = row
             origin[key] = path
     return completed

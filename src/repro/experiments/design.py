@@ -83,10 +83,11 @@ class SweepSpec:
         for name, values in self.grid.items():
             if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
                 raise ExperimentError(
-                    f"grid axis {name!r} must be a sequence of values, got {values!r}"
+                    f"grid axis {name!r} must be a sequence of values, got {values!r}",
+                    field=name,
                 )
             if len(values) == 0:
-                raise ExperimentError(f"grid axis {name!r} has no values")
+                raise ExperimentError(f"grid axis {name!r} has no values", field=name)
         overlap = set(self.grid) & set(self.base)
         if overlap:
             raise ExperimentError(
@@ -167,24 +168,29 @@ class Experiment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "variants", tuple(self.variants))
         if not self.name:
-            raise ExperimentError("experiment name must be non-empty")
+            raise ExperimentError("experiment name must be non-empty", field="name")
         if not self.variants:
             raise ExperimentError("experiment needs at least one variant")
         if self.n_receivers <= 0:
-            raise ExperimentError("n_receivers must be positive")
+            raise ExperimentError("n_receivers must be positive", field="n_receivers")
         if self.seed < 0:
-            raise ExperimentError("seed must be non-negative")
+            raise ExperimentError("seed must be non-negative", field="seed")
+        if self.batch_size is not None and self.batch_size <= 0:
+            raise ExperimentError("batch_size must be positive", field="batch_size")
         if self.mode not in SIMULATION_MODES:
             raise ExperimentError(
-                f"mode must be one of {SIMULATION_MODES}, got {self.mode!r}"
+                f"mode must be one of {SIMULATION_MODES}, got {self.mode!r}",
+                parameter="mode",
             )
         if not self.paths or any(path not in EXPERIMENT_PATHS for path in self.paths):
             raise ExperimentError(
-                f"paths must be a non-empty subset of {EXPERIMENT_PATHS}, got {self.paths!r}"
+                f"paths must be a non-empty subset of {EXPERIMENT_PATHS}, got {self.paths!r}",
+                parameter="paths",
             )
         if self.seed_strategy not in SEED_STRATEGIES:
             raise ExperimentError(
-                f"seed_strategy must be one of {SEED_STRATEGIES}, got {self.seed_strategy!r}"
+                f"seed_strategy must be one of {SEED_STRATEGIES}, got {self.seed_strategy!r}",
+                parameter="seed_strategy",
             )
         counts = collections.Counter(
             variant.resolved_label() for variant in self.variants

@@ -8,8 +8,9 @@ scenarios) and returns the result rows.  Every unit carries its own
 derived seed and its variant's declaration index, so any execution
 strategy — inline, a process pool, or one shard per host (see
 :mod:`repro.experiments.backends`) — produces identical rows in a
-reconstructible order.  :func:`execute` is the function form of
-:meth:`~repro.experiments.design.Experiment.run`.
+reconstructible order, and knows the identity of each row before it
+runs (:meth:`VariantRun.expected_rows`).  :func:`execute` is the
+function form of :meth:`~repro.experiments.design.Experiment.run`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import dataclasses
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.analysis import analyze_system
+from ..simulation.engine import SimulationConfig
 from ..simulation.metrics import SimulationResult
-from ..systems.scenario import get_scenario
+from ..systems.scenario import get_scenario, variant_hash
 from .design import Experiment
 from .results import WALL_CLOCK_METRICS, ResultRow, ResultSet
 
@@ -36,21 +38,49 @@ __all__ = [
 ]
 
 
+#: The engine settings a unit falls back to where its parameters are unset.
+_ENGINE_DEFAULTS = SimulationConfig()
+
+
 @dataclasses.dataclass(frozen=True)
 class VariantRun:
-    """One variant's fully-resolved, picklable execution plan."""
+    """One variant's fully-resolved, picklable execution plan.
+
+    ``rounds``, ``rng_mode`` and ``batch_size`` are the engine settings
+    :func:`run_variant` runs: the unit's parameters (the experiment's
+    ``batch_size``) over the engine defaults, resolved at plan time
+    without binding the scenario.
+    """
 
     experiment: str
     scenario: str
     label: str
     params: Mapping[str, Any]
+    variant_hash: str
     seed: int
     n_receivers: int
     mode: str
     paths: Tuple[str, ...]
-    task: Optional[str] = None
-    batch_size: Optional[int] = None
-    variant_index: int = 0
+    task: Optional[str]
+    variant_index: int
+    rounds: int
+    rng_mode: str
+    batch_size: int
+
+    def expected_rows(self) -> Dict[Tuple[str, str, str], Dict[str, Any]]:
+        """Each row's ``row_key`` and the identity fields it will record, in
+        emission order (:class:`ResultRow` names; the task, which needs
+        the scenario bound, is left out).
+        """
+        rows: Dict[Tuple[str, str, str], Dict[str, Any]] = {}
+        if "analyze" in self.paths:
+            rows[self.label, self.variant_hash, "analytic"] = {"mode": "analytic"}
+        if "simulate" in self.paths:
+            rows[self.label, self.variant_hash, self.mode] = dict(
+                mode=self.mode, seed=self.seed, n_receivers=self.n_receivers,
+                batch_size=self.batch_size, rounds=self.rounds, rng_mode=self.rng_mode,
+            )
+        return rows
 
 
 def plan_runs(experiment: Experiment) -> List[VariantRun]:
@@ -61,13 +91,17 @@ def plan_runs(experiment: Experiment) -> List[VariantRun]:
             scenario=variant.scenario,
             label=variant.resolved_label(),
             params=dict(variant.params),
+            variant_hash=variant_hash(variant.scenario, variant.params),
             seed=experiment.variant_seed(index),
             n_receivers=experiment.n_receivers,
             mode=experiment.mode,
             paths=experiment.paths,
             task=experiment.task,
-            batch_size=experiment.batch_size,
             variant_index=index,
+            # Validated rounds and rng_mode are never falsy; Experiment checks the size.
+            rounds=variant.params.get("rounds") or _ENGINE_DEFAULTS.rounds,
+            rng_mode=variant.params.get("rng_mode") or _ENGINE_DEFAULTS.rng_mode,
+            batch_size=experiment.batch_size or _ENGINE_DEFAULTS.batch_size,
         )
         for index, variant in enumerate(experiment.variants)
     ]
@@ -146,11 +180,9 @@ def run_variant(run: VariantRun) -> List[ResultRow]:
         )
 
     if "simulate" in run.paths:
-        overrides: Dict[str, Any] = {}
-        if run.batch_size is not None:
-            overrides["batch_size"] = run.batch_size
         result = variant.simulate(
-            run.n_receivers, seed=run.seed, task=run.task, mode=run.mode, **overrides
+            run.n_receivers, seed=run.seed, task=run.task, mode=run.mode,
+            rounds=run.rounds, rng_mode=run.rng_mode, batch_size=run.batch_size,
         )
         rows.append(
             ResultRow(

@@ -10,12 +10,13 @@ suite drives the full stack through ``wsgiref`` test environs without a
 socket; :mod:`repro.service.cli` serves the same app over HTTP.
 
 Error mapping is uniform: :class:`~repro.service.errors.ApiError`
-subclasses carry their own status and structured body; a
-:class:`~repro.core.exceptions.ModelError` escaping a handler is a
-validation failure (422) because every ``ModelError`` in this codebase
-is a rejected parameter/scenario value; other :class:`ReproError`\\ s are
-malformed requests (400); anything else is a 500 that names the
-exception class but never unwinds the server.
+subclasses carry their own status and structured body.  A library
+:class:`~repro.core.exceptions.ReproError` escaping a handler is a
+validation failure (422) when it rejects a value — every ``ModelError``
+does, and so does any error naming a ``parameter`` — and a malformed
+request (400) otherwise; the body carries the ``parameter`` or ``field``
+the error names.  Anything else is a 500 that names the exception class
+but never unwinds the server.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ import urllib.parse
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.exceptions import ModelError, ReproError
-from .errors import ApiError, BadRequestError, MethodNotAllowedError, NotFoundError
+from .errors import (
+    ApiError,
+    BadRequestError,
+    MethodNotAllowedError,
+    NotFoundError,
+    ValidationFailure,
+)
 from .state import ServiceConfig, ServiceState
 
 __all__ = ["Request", "Router", "ServiceApp", "create_app"]
@@ -158,11 +165,12 @@ class ServiceApp:
             raise NotFoundError(f"no route for {path!r}", path=path)
         except ApiError as error:
             return error.status, error.payload()
-        except ModelError as error:
-            # Every ModelError here is a rejected scenario/parameter value.
-            return 422, {"error": "validation", "message": str(error)}
         except ReproError as error:
-            return 400, {"error": "bad_request", "message": str(error)}
+            rejected = isinstance(error, ModelError) or error.parameter is not None
+            failure = (ValidationFailure if rejected else BadRequestError)(
+                str(error), parameter=error.parameter, field=error.field
+            )
+            return failure.status, failure.payload()
         except Exception as error:  # the server must answer, not unwind
             return 500, {
                 "error": "internal",

@@ -19,7 +19,11 @@ The resolved task name rides along because a task
 is the one run input outside ``variant_hash`` (it selects *which* of the
 scenario's security-critical tasks the population faces); every other
 engine knob the service accepts travels through the scenario's
-``ParameterSpace`` and is therefore already inside the hash.  A repeated
+``ParameterSpace`` and is therefore already inside the hash.  Before a
+unit runs, its keys come from the unit's own plan
+(:meth:`repro.experiments.runner.VariantRun.expected_rows`, which
+resolves ``rounds`` and ``rng_mode`` against the engine defaults), so
+this module and the service keep no copy of those defaults.  A repeated
 policy query therefore becomes an O(1)
 lookup returning the **exact bytes of the first computation**: entries
 are stored as their canonical serialized JSON string and parsed fresh on
@@ -88,7 +92,9 @@ def row_cache_key(row: Dict[str, Any]) -> CacheKey:
     ``rng_mode`` / ``rounds`` / the resolved ``task`` name are always
     populated by the engine, so rows cached from a sweep and rows cached
     from an inline call agree on the key however the request spelled its
-    overrides.
+    overrides.  The one key function: a hit's key is this same function
+    over the fields a planned work unit says its row will record
+    (:func:`repro.service.requests.predicted_run_keys`).
     """
     return (
         str(row["variant_hash"]),

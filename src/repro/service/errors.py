@@ -23,7 +23,10 @@ __all__ = [
 
 
 class ApiError(Exception):
-    """An error with a structured JSON body and an HTTP status."""
+    """An error with a structured JSON body and an HTTP status.
+
+    Keyword details become fields of the body; a ``None`` detail is left out.
+    """
 
     status: int = 500
     kind: str = "internal"
@@ -31,7 +34,9 @@ class ApiError(Exception):
     def __init__(self, message: str, **details: Any) -> None:
         super().__init__(message)
         self.message = message
-        self.details: Dict[str, Any] = dict(details)
+        self.details: Dict[str, Any] = {
+            name: value for name, value in details.items() if value is not None
+        }
 
     def payload(self) -> Dict[str, Any]:
         """The JSON error body served for this error."""

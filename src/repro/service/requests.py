@@ -1,24 +1,28 @@
 """Request parsing: JSON bodies into validated experiment specifications.
 
-Every value a client sends is routed through the scenario's own
-:class:`~repro.systems.parameters.ParameterSpace` — the service invents
-no second validation layer, so the 422 bodies it returns name exactly
-the parameter the experiment layer would reject.  Engine knobs
-(``rounds``, ``rng_mode``, the habituation weights, ...) are accepted
-**only** inside ``params``: that keeps every bit-relevant input inside
-the row's ``variant_hash``, which is what makes the content-keyed cache
+This module checks only a body's JSON shape (known fields, strings,
+integers, lists); the experiment layer validates the values, once each
+(:class:`~repro.systems.parameters.ParameterSpace`,
+:class:`~repro.experiments.design.SweepSpec`,
+:class:`~repro.experiments.design.Experiment`).  The service invents no
+second validation layer: a rejection is that layer's own error, naming
+the ``parameter`` or ``field`` it rejects.  Engine knobs (``rounds``,
+``rng_mode``, the habituation weights, ...) are accepted **only** inside
+``params``: that keeps every bit-relevant input inside the row's
+``variant_hash``, which is what makes the content-keyed cache
 (:mod:`repro.service.cache`) collision-free.  ``batch_size`` is not a
 request field and not in a cache key.  It does change the bits, but the
 service always runs at the engine default, and the cache admits no row
 recorded at any other batch size.  Where the engine runs a row's chunks
 is its own choice; the row's ``chunk_workers`` records it as telemetry.
 
-:func:`run_with_cache` is the service's synchronous execution path: it
-plans an experiment into per-variant work units, serves any unit whose
-predicted row identities are all cached (exact first-computation bytes,
-hit-counted), and runs only the rest — so re-submitting a sweep that was
-ever computed does no engine work.  Of a unit's key parts only the
-resolved task name needs the scenario's built system; a
+:func:`run_with_cache` is the service's synchronous execution path: of
+an experiment's per-variant work units it serves any whose rows are all
+cached (exact first-computation bytes, hit-counted; :func:`serve_cached`)
+and runs only the rest — so re-submitting a sweep that was ever computed
+does no engine work.  A unit knows its rows' identities
+(:meth:`~repro.experiments.runner.VariantRun.expected_rows`) except the
+resolved task name, which needs the scenario's built system; a
 :class:`TaskNameMemo` owned by the service state remembers it per point
 and requested spelling, so only the first request for a point binds the
 scenario and builds its system — a cache hit does neither.
@@ -30,21 +34,13 @@ import dataclasses
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.exceptions import ModelError
-from ..experiments.design import (
-    EXPERIMENT_PATHS,
-    SEED_STRATEGIES,
-    Experiment,
-    SweepSpec,
-    VariantSpec,
-)
-from ..experiments.results import ExperimentError, ResultSet
-from ..experiments.runner import VariantRun, plan_runs, resolved_task_name, run_variant
+from ..experiments.design import Experiment, SweepSpec, VariantSpec
+from ..experiments.results import ResultSet
+from ..experiments.runner import VariantRun, resolved_task_name, run_variant
 from ..io.experiments_io import result_row_from_dict, result_row_to_dict
-from ..simulation.engine import SIMULATION_MODES, SimulationConfig
-from ..systems.scenario import get_scenario, variant_hash
+from ..systems.scenario import get_scenario
 from .cache import CacheKey, ResultCache, row_cache_key
-from .errors import BadRequestError, ValidationFailure
+from .errors import BadRequestError
 
 __all__ = [
     "validate_params",
@@ -52,19 +48,9 @@ __all__ = [
     "run_cost",
     "TaskNameMemo",
     "predicted_run_keys",
+    "serve_cached",
     "run_with_cache",
 ]
-
-#: Engine defaults the realized row provenance falls back to when the
-#: request leaves the matching knob unset — read from the dataclass
-#: declaration so a changed engine default cannot desynchronize the
-#: predicted cache keys.
-_ENGINE_DEFAULT_RNG_MODE = str(
-    SimulationConfig.__dataclass_fields__["rng_mode"].default
-)
-_ENGINE_DEFAULT_ROUNDS = int(
-    SimulationConfig.__dataclass_fields__["rounds"].default  # type: ignore[arg-type]
-)
 
 #: Body fields the simulate/sweep endpoints accept; anything else is a
 #: 400 — engine knobs must travel inside ``params`` (see module doc).
@@ -135,25 +121,12 @@ def validate_params(
 ) -> Dict[str, Any]:
     """Validate overrides against the scenario's parameter space.
 
-    Failures become structured 422s: an unknown scenario names itself
-    under ``parameter: "scenario"``; a bad override names the exact
-    offending parameter — validated one name at a time so a multi-knob
-    request still pins the blame precisely.
+    A rejection is the space's own ``ModelError``, which names the first
+    offending parameter — or ``"scenario"`` for an unknown scenario.
     """
     if not isinstance(params, Mapping):
         raise BadRequestError("params must be a JSON object")
-    try:
-        scenario = get_scenario(scenario_name)
-    except ModelError as error:
-        raise ValidationFailure(str(error), parameter="scenario") from error
-    space = scenario.parameter_space()
-    validated: Dict[str, Any] = {}
-    for name, value in params.items():
-        try:
-            validated.update(space.validate({name: value}))
-        except ModelError as error:
-            raise ValidationFailure(str(error), parameter=name) from error
-    return validated
+    return get_scenario(scenario_name).parameter_space().validate(params)
 
 
 def build_experiment(
@@ -177,88 +150,46 @@ def build_experiment(
         )
 
     if "grid" in body:
-        grid = body_dict(body, "grid")
-        base = body_dict(body, "base")
-        if not grid:
-            raise BadRequestError("field 'grid' must name at least one axis")
-        validate_params(scenario, base)
-        for axis, values in grid.items():
-            if isinstance(values, (str, bytes)) or not isinstance(values, list):
-                raise BadRequestError(
-                    f"grid axis {axis!r} must be a list of values", field=axis
-                )
-            for value in values:
-                validate_params(scenario, {axis: value})
-        try:
-            variants = SweepSpec(scenario=scenario, grid=grid, base=base).expand()
-        except ExperimentError as error:
-            raise BadRequestError(str(error)) from error
+        sweep = SweepSpec(
+            scenario=scenario, grid=body_dict(body, "grid"), base=body_dict(body, "base")
+        )
+        variants = sweep.expand()
         default_strategy = "per-variant"
     else:
         validated = validate_params(scenario, body_dict(body, "params"))
         variants = (VariantSpec(scenario=scenario, params=validated),)
         default_strategy = "shared"
 
-    mode = body_str(body, "mode", "batch")
-    assert mode is not None
-    if mode not in SIMULATION_MODES:
-        raise ValidationFailure(
-            f"mode must be one of {SIMULATION_MODES}, got {mode!r}",
-            parameter="mode",
-        )
-    paths_field = body.get("paths", ["simulate"])
-    if not isinstance(paths_field, list) or not all(
-        isinstance(path, str) for path in paths_field
-    ):
+    paths = body.get("paths", ["simulate"])
+    if not isinstance(paths, list) or not all(isinstance(path, str) for path in paths):
         raise BadRequestError("field 'paths' must be a list of strings", field="paths")
-    paths = tuple(paths_field)
-    if not paths or any(path not in EXPERIMENT_PATHS for path in paths):
-        raise ValidationFailure(
-            f"paths must be a non-empty subset of {EXPERIMENT_PATHS}, got {paths!r}",
-            parameter="paths",
-        )
-    strategy = body_str(body, "seed_strategy", default_strategy)
-    assert strategy is not None
-    if strategy not in SEED_STRATEGIES:
-        raise ValidationFailure(
-            f"seed_strategy must be one of {SEED_STRATEGIES}, got {strategy!r}",
-            parameter="seed_strategy",
-        )
     name = body_str(body, "name", default_name)
-    assert name is not None
+    mode = body_str(body, "mode", "batch")
+    strategy = body_str(body, "seed_strategy", default_strategy)
     n_receivers = body_int(body, "n_receivers", 500)
     seed = body_int(body, "seed", 0)
+    assert name is not None and mode is not None and strategy is not None
     assert n_receivers is not None and seed is not None
-
-    try:
-        return Experiment(
-            name=name,
-            variants=variants,
-            n_receivers=n_receivers,
-            seed=seed,
-            mode=mode,
-            paths=paths,
-            task=body_str(body, "task"),
-            seed_strategy=strategy,
-        )
-    except ExperimentError as error:
-        raise BadRequestError(str(error)) from error
+    return Experiment(
+        name=name,
+        variants=variants,
+        n_receivers=n_receivers,
+        seed=seed,
+        mode=mode,
+        paths=tuple(paths),
+        task=body_str(body, "task"),
+        seed_strategy=strategy,
+    )
 
 
-def run_cost(experiment: Experiment) -> int:
-    """The receiver-round count an experiment will simulate.
+def run_cost(runs: Sequence[VariantRun]) -> int:
+    """The receiver-round count an experiment's work units will simulate.
 
     The inline-vs-async dispatch metric: analytic walks are free (always
-    inline on their own), each simulated variant costs ``n_receivers``
-    times its effective round count.
+    inline on their own), each simulated unit costs ``n_receivers`` times
+    its planned ``rounds``.
     """
-    if "simulate" not in experiment.paths:
-        return 0
-    cost = 0
-    for variant in experiment.variants:
-        rounds = variant.params.get("rounds") or _ENGINE_DEFAULT_ROUNDS
-        cost += experiment.n_receivers * int(rounds)
-    return cost
+    return sum(run.n_receivers * run.rounds for run in runs if "simulate" in run.paths)
 
 
 #: ``(scenario, variant_hash, requested task spelling)`` — what a resolved
@@ -291,29 +222,41 @@ class TaskNameMemo:
 def predicted_run_keys(run: VariantRun, task_names: TaskNameMemo) -> List[CacheKey]:
     """The cache keys the rows of one work unit will carry, in row order.
 
-    Mirrors what :func:`~repro.experiments.runner.run_variant` records:
-    the realized ``rng_mode`` / ``rounds`` are the bound parameter values
-    or the engine defaults (engine knobs live only in ``params``).  The
-    task name comes from ``task_names``; only on a memo miss is it
-    resolved against the built system, the same way the runner resolves
-    it, and then remembered.
+    Each is :func:`~repro.service.cache.row_cache_key` of what the row
+    will record: the unit's planned identity fields
+    (:meth:`~repro.experiments.runner.VariantRun.expected_rows`) and the
+    resolved task name.  The task name comes from ``task_names``; only on
+    a memo miss is it resolved against the built system, the same way the
+    runner resolves it, and then remembered.
     """
-    point = variant_hash(run.scenario, run.params)
-    task_key = (run.scenario, point, run.task)
+    task_key = (run.scenario, run.variant_hash, run.task)
     task = task_names.get(task_key)
     if task is None:
         task = resolved_task_name(run)
         task_names.record(task_key, task)
-    keys: List[CacheKey] = []
-    if "analyze" in run.paths:
-        keys.append((point, None, None, "analytic", None, None, task))
-    if "simulate" in run.paths:
-        rng_mode = run.params.get("rng_mode") or _ENGINE_DEFAULT_RNG_MODE
-        rounds = run.params.get("rounds") or _ENGINE_DEFAULT_ROUNDS
-        keys.append(
-            (point, run.seed, run.n_receivers, run.mode, rng_mode, int(rounds), task)
-        )
-    return keys
+    return [
+        row_cache_key({**fields, "variant_hash": run.variant_hash, "task": task})
+        for fields in run.expected_rows().values()
+    ]
+
+
+def serve_cached(
+    cache: ResultCache, task_names: TaskNameMemo, runs: Sequence[VariantRun]
+) -> Optional[List[Dict[str, Any]]]:
+    """Every row of ``runs`` served from the cache, or ``None`` if one is missing.
+
+    All or nothing: rows are served (and hit-counted) only once every
+    predicted key is cached, so a miss leaves the counters untouched.
+    """
+    keys = [key for run in runs for key in predicted_run_keys(run, task_names)]
+    if not all(cache.peek(key) for key in keys):
+        return None
+    payloads: List[Dict[str, Any]] = []
+    for key in keys:
+        payload = cache.serve(key)
+        assert payload is not None  # peeked under first-write-wins
+        payloads.append(payload)
+    return payloads
 
 
 @dataclasses.dataclass(frozen=True)
@@ -329,12 +272,16 @@ class CachedRunOutcome:
 
 
 def run_with_cache(
-    cache: ResultCache, task_names: TaskNameMemo, experiment: Experiment
+    cache: ResultCache,
+    task_names: TaskNameMemo,
+    experiment: Experiment,
+    runs: Sequence[VariantRun],
 ) -> CachedRunOutcome:
-    """Run an experiment, serving fully-cached variants without engine work.
+    """Run an experiment's work units, serving fully-cached ones without engine work.
 
+    ``runs`` is the experiment's plan (:func:`~repro.experiments.runner.plan_runs`).
     Per work unit: when every predicted row identity is cached, the rows
-    are served from the cache (counting hits) and the variant never
+    are served from the cache (:func:`serve_cached`) and the variant never
     simulates or analyzes, and binds only if ``task_names`` has not seen
     its point yet (a server warmed from a replayed cache, say); otherwise
     the unit runs, its misses are counted, and its rows are stored under
@@ -344,14 +291,11 @@ def run_with_cache(
     served = 0
     computed = 0
     payloads: List[Dict[str, Any]] = []
-    for run in plan_runs(experiment):
-        keys = predicted_run_keys(run, task_names)
-        if keys and all(cache.peek(key) for key in keys):
-            for key in keys:
-                payload = cache.serve(key)
-                assert payload is not None  # peeked under first-write-wins
-                payloads.append(payload)
-            served += len(keys)
+    for run in runs:
+        cached = serve_cached(cache, task_names, [run])
+        if cached is not None:
+            payloads.extend(cached)
+            served += len(cached)
         else:
             rows = run_variant(run)
             cache.note_misses(len(rows))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from ..experiments.design import Experiment, VariantSpec
-from ..experiments.results import ExperimentError
+from ..experiments.runner import plan_runs
 from ..io.experiments_io import resultset_to_dict
 from .app import Request, Router
 from .errors import BadRequestError
@@ -41,17 +41,14 @@ def analyze(state: ServiceState, request: Request) -> Dict[str, Any]:
         raise BadRequestError("field 'scenario' is required", field="scenario")
     params = validate_params(scenario, body.get("params", {}))
     name = body_str(body, "name", "analyze") or "analyze"
-    try:
-        experiment = Experiment(
-            name=name,
-            variants=(VariantSpec(scenario=scenario, params=params),),
-            paths=("analyze",),
-            task=body_str(body, "task"),
-            seed_strategy="shared",
-        )
-    except ExperimentError as error:
-        raise BadRequestError(str(error)) from error
-    outcome = state.run_inline(experiment)
+    experiment = Experiment(
+        name=name,
+        variants=(VariantSpec(scenario=scenario, params=params),),
+        paths=("analyze",),
+        task=body_str(body, "task"),
+        seed_strategy="shared",
+    )
+    outcome = state.run_inline(experiment, plan_runs(experiment))
     payload = resultset_to_dict(outcome.resultset)
     return {
         "status": "completed",

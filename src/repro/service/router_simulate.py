@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
+from ..experiments.runner import plan_runs
 from ..io.experiments_io import resultset_to_dict
 from .app import Request, Router
 from .errors import BadRequestError
-from .requests import build_experiment, run_cost
+from .requests import build_experiment, require_body, run_cost
 from .state import ServiceState
 
 __all__ = ["router"]
@@ -30,14 +31,13 @@ def _dispatch(
     state: ServiceState, request: Request, default_name: str
 ) -> Tuple[int, Dict[str, Any]]:
     """Validate, then run inline or ledger an async job by cost."""
-    if request.body is None:
-        raise BadRequestError("this endpoint requires a JSON object body")
-    body = dict(request.body)
+    body = dict(require_body(request.body))
     detach = body.pop("detach", None)
     if detach is not None and not isinstance(detach, bool):
         raise BadRequestError("field 'detach' must be a boolean", field="detach")
     experiment = build_experiment(body, default_name=default_name)
-    cost = run_cost(experiment)
+    runs = plan_runs(experiment)
+    cost = run_cost(runs)
     if detach or cost > state.config.inline_threshold:
         record = state.submit_job(body)
         return 202, {
@@ -45,7 +45,7 @@ def _dispatch(
             "cost": cost,
             "job": record.describe(),
         }
-    outcome = state.run_inline(experiment)
+    outcome = state.run_inline(experiment, runs)
     return 200, {
         "status": "completed",
         "cost": cost,

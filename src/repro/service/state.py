@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, Sequence
 
 from ..experiments.backends import ShardBackend, ShardProgress, shard_plans
 from ..experiments.design import Experiment
 from ..experiments.results import ResultSet
-from ..experiments.runner import plan_runs
+from ..experiments.runner import VariantRun, plan_runs
 from ..io.experiments_io import result_row_from_dict, result_row_to_dict
 from ..io.shards import ShardLogWriter, load_checkpoint, shard_filename
-from . import requests as service_requests
 from .cache import CACHE_FILENAME, ResultCache
 from .errors import BadRequestError
 from .jobs import JobRecord, JobStore, JobWorker
@@ -37,6 +36,7 @@ from .requests import (
     TaskNameMemo,
     build_experiment,
     run_with_cache,
+    serve_cached,
 )
 
 __all__ = ["ServiceConfig", "ServiceState"]
@@ -102,20 +102,9 @@ class ServiceState:
         job_dir = self.jobs.job_dir(job_id)
 
         runs = plan_runs(experiment)
-        predicted = [
-            service_requests.predicted_run_keys(run, self.task_names)
-            for run in runs
-        ]
-        if predicted and all(
-            self.cache.peek(key) for keys in predicted for key in keys
-        ):
-            payloads: List[Dict[str, Any]] = []
-            for keys in predicted:
-                for key in keys:
-                    payload = self.cache.serve(key)
-                    assert payload is not None
-                    payloads.append(payload)
-            rows = [result_row_from_dict(payload) for payload in payloads]
+        cached = serve_cached(self.cache, self.task_names, runs)
+        if cached is not None:
+            rows = [result_row_from_dict(payload) for payload in cached]
             plan = shard_plans(experiment, 1)[0]
             with ShardLogWriter(
                 job_dir / shard_filename(0, 1), plan.header()
@@ -178,8 +167,10 @@ class ServiceState:
 
     # -- inline execution (routers call through for shared accounting) -----------
 
-    def run_inline(self, experiment: Experiment) -> CachedRunOutcome:
-        return run_with_cache(self.cache, self.task_names, experiment)
+    def run_inline(
+        self, experiment: Experiment, runs: Sequence[VariantRun]
+    ) -> CachedRunOutcome:
+        return run_with_cache(self.cache, self.task_names, experiment, runs)
 
     # -- lifecycle ---------------------------------------------------------------
 

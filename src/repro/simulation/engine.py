@@ -233,30 +233,25 @@ class SimulationConfig:
 class _ChunkSpec:
     """One chunk of one simulate call, as a picklable work unit.
 
-    Everything a worker process needs to reproduce the chunk exactly:
-    both rng modes derive chunk randomness from ``(base_seed,
-    chunk_index)`` alone (never from sibling chunks), which is what makes
-    the partials identical whichever process — or order — computes them,
-    and what lets the run's records be regenerated from the specs.
+    Everything a worker process needs to reproduce the chunk exactly: the
+    run's ``config`` and the chunk's place in it.  Both rng modes derive
+    chunk randomness from ``(config.seed, chunk_index)`` alone (never from
+    sibling chunks), which is what makes the partials identical whichever
+    process — or order — computes them, and what lets the run's records be
+    regenerated from the specs.  A group of chunks pickles together, so
+    the shared config travels once per pool task.
     """
 
     plan: PipelinePlan
     population: PopulationSpec
-    base_seed: int
+    config: SimulationConfig
     chunk_index: int
     offset: int
     size: int
-    mode: str
-    rng_mode: str
-    rounds: int
-    recovery_rate: float
-    dismiss_weight: float
-    heed_weight: float
-    want_trace: bool
 
     def draws(self) -> DrawSource:
         """The chunk's round-0 cell of its rng mode's draw source."""
-        return DRAW_SOURCES[self.rng_mode](self.base_seed, self.chunk_index)
+        return DRAW_SOURCES[self.config.rng_mode](self.config.seed, self.chunk_index)
 
 
 @dataclasses.dataclass
@@ -301,17 +296,10 @@ def _chunk_specs(
         _ChunkSpec(
             plan=plan,
             population=population,
-            base_seed=config.seed,
+            config=config,
             chunk_index=chunk_index,
             offset=offset,
             size=min(config.batch_size, config.n_receivers - offset),
-            mode=config.mode,
-            rng_mode=config.rng_mode,
-            rounds=config.rounds,
-            recovery_rate=config.recovery_rate,
-            dismiss_weight=config.dismiss_weight,
-            heed_weight=config.heed_weight,
-            want_trace=bool(config.trace),
         )
         for chunk_index, offset in enumerate(
             range(0, config.n_receivers, config.batch_size)
@@ -337,12 +325,11 @@ def _simulate_chunk(
     partial carries the chunk's phase times, read from ``clock``.
     """
     laps = _PhaseClock(clock)
-    plan = spec.plan
+    plan, config = spec.plan, spec.config
+    rounds, mode, want_trace = config.rounds, config.mode, bool(config.trace)
     partial = _ChunkPartial(
-        round_tallies=[RoundTally(round_index=index) for index in range(spec.rounds)],
-        round_funnels=(
-            [FunnelTally() for _ in range(spec.rounds)] if spec.want_trace else []
-        ),
+        round_tallies=[RoundTally(round_index=index) for index in range(rounds)],
+        round_funnels=[FunnelTally() for _ in range(rounds)] if want_trace else [],
     )
     cell = spec.draws()
     draws = batch_module.draw_batch_counter(
@@ -353,7 +340,7 @@ def _simulate_chunk(
     # allocation-free.
     exposures = (
         habituation_module.initial_exposures(plan.communication, spec.size)
-        if spec.rounds > 1
+        if rounds > 1
         else None
     )
     laps.lap("simulation.habituation")
@@ -363,11 +350,11 @@ def _simulate_chunk(
     # every term per row and per round.
     terms = (
         plan.receiver_terms(batch_module.BatchReceivers(draws.samples))
-        if spec.rounds > 1 and spec.mode == "batch" and plan.has_communication
+        if rounds > 1 and mode == "batch" and plan.has_communication
         else None
     )
     laps.lap("core.pipeline")
-    for round_index in range(spec.rounds):
+    for round_index in range(rounds):
         if round_index:
             # Same receivers, fresh encounter randomness from the round's
             # cell (round 0 drew from the chunk cell itself, preserving
@@ -381,14 +368,14 @@ def _simulate_chunk(
         # per-receiver array.
         round_exposures = exposures if round_index else None
         round_tally = partial.round_tallies[round_index]
-        round_funnel = partial.round_funnels[round_index] if spec.want_trace else None
-        advancing = exposures is not None and round_index + 1 < spec.rounds
-        if spec.mode == "batch":
+        round_funnel = partial.round_funnels[round_index] if want_trace else None
+        advancing = exposures is not None and round_index + 1 < rounds
+        if mode == "batch":
             outcomes = batch_module.evaluate_batch(
                 plan,
                 draws,
                 exposures=round_exposures,
-                trace="counts" if spec.want_trace else False,
+                trace="counts" if want_trace else False,
                 terms=terms,
             )
             laps.lap("core.pipeline")
@@ -417,7 +404,7 @@ def _simulate_chunk(
                         None if round_exposures is None
                         else round_exposures[row : row + 1]
                     ),
-                    trace="counts" if spec.want_trace else False,
+                    trace="counts" if want_trace else False,
                 )
                 record = batch_module.records_from_batch(
                     row_outcomes,
@@ -443,10 +430,10 @@ def _simulate_chunk(
             exposures = habituation_module.advance_exposures(
                 exposures,
                 delivered,
-                spec.recovery_rate,
+                config.recovery_rate,
                 heeded=protected,
-                dismiss_weight=spec.dismiss_weight,
-                heed_weight=spec.heed_weight,
+                dismiss_weight=config.dismiss_weight,
+                heed_weight=config.heed_weight,
             )
             laps.lap("simulation.habituation")
     partial.phase_seconds = laps.seconds
@@ -486,7 +473,7 @@ class _RecordSequence(collections.abc.Sequence):
         return self._records
 
     def __len__(self) -> int:
-        return sum(spec.size * spec.rounds for spec in self._specs)
+        return sum(spec.size * spec.config.rounds for spec in self._specs)
 
     def __getitem__(self, index):
         return self._materialized()[index]

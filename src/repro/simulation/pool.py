@@ -18,7 +18,10 @@ change a result).  A second break propagates.
 
 No nesting: inside any multiprocessing child — a pool worker, or a
 :class:`~repro.cluster.transports.LocalProcessFleet` shard worker —
-:func:`can_fan_out` is false, so work there runs serially.  Workers keep
+:func:`can_fan_out` is false, and :func:`run_groups` runs its groups
+in-process, one after another, and returns the serial result.  A forked
+worker holds a copy of the parent's executor whose threads did not
+survive the fork; submitting into it would wait forever.  Workers keep
 the module state of the moment they were forked for as long as the pool
 lives, patched attributes included: code that patches what workers run
 starts the pool first.
@@ -50,11 +53,15 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def can_fan_out() -> bool:
-    """Whether work here may fan out: two usable CPUs, and not a child process."""
+def _in_child() -> bool:
     import multiprocessing
 
-    return multiprocessing.parent_process() is None and usable_cpus() >= 2
+    return multiprocessing.parent_process() is not None
+
+
+def can_fan_out() -> bool:
+    """Whether work here may fan out: two usable CPUs, and not a child process."""
+    return not _in_child() and usable_cpus() >= 2
 
 
 def contiguous_groups(items: Sequence[T], groups: int) -> List[List[T]]:
@@ -134,7 +141,10 @@ def run_groups(
     items must pickle, and a group pickles its items together, so
     objects they share (a chunk's plan and population) travel once per
     task.  Returns the results in item order and the number of
-    processes the groups spread across.
+    processes the groups spread across.  Inside a multiprocessing child
+    the groups run here, serially, on one process.
     """
     parts = contiguous_groups(items, groups)
+    if _in_child():
+        return [result for part in parts for result in fn(part)], 1
     return _POOL.run(fn, parts), min(len(parts), usable_cpus())

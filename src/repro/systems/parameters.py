@@ -105,45 +105,37 @@ class Parameter:
         self.validate(self.default)
 
     def validate(self, value: Any) -> Any:
-        """Validate (and coerce) one value for this parameter."""
+        """Validate (and coerce) one value; a rejection names this parameter."""
         if value is None:
             if not self.allow_none:
-                raise ModelError(f"parameter {self.name!r} does not accept None")
+                raise self._rejection("does not accept None")
             return None
         if self.kind == "bool":
             if not isinstance(value, bool):
-                raise ModelError(
-                    f"parameter {self.name!r} expects a bool, got {value!r}"
-                )
+                raise self._rejection(f"expects a bool, got {value!r}")
             return value
         if self.kind == "choice":
             if value not in self.choices:
-                raise ModelError(
-                    f"parameter {self.name!r} expects one of {list(self.choices)}, "
-                    f"got {value!r}"
+                raise self._rejection(
+                    f"expects one of {list(self.choices)}, got {value!r}"
                 )
             return value
         if self.kind == "int":
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ModelError(
-                    f"parameter {self.name!r} expects an int, got {value!r}"
-                )
+                raise self._rejection(f"expects an int, got {value!r}")
             number: float = value
         else:  # float
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ModelError(
-                    f"parameter {self.name!r} expects a number, got {value!r}"
-                )
+                raise self._rejection(f"expects a number, got {value!r}")
             number = float(value)
         if self.low is not None and number < self.low:
-            raise ModelError(
-                f"parameter {self.name!r} must be >= {self.low}, got {value!r}"
-            )
+            raise self._rejection(f"must be >= {self.low}, got {value!r}")
         if self.high is not None and number > self.high:
-            raise ModelError(
-                f"parameter {self.name!r} must be <= {self.high}, got {value!r}"
-            )
+            raise self._rejection(f"must be <= {self.high}, got {value!r}")
         return int(number) if self.kind == "int" else float(number)
+
+    def _rejection(self, reason: str) -> ModelError:
+        return ModelError(f"parameter {self.name!r} {reason}", parameter=self.name)
 
 
 class ParameterSpace:
@@ -173,7 +165,8 @@ class ParameterSpace:
     def get(self, name: str) -> Parameter:
         if name not in self._parameters:
             raise ModelError(
-                f"unknown parameter {name!r}; known: {list(self._parameters)}"
+                f"unknown parameter {name!r}; known: {list(self._parameters)}",
+                parameter=name,
             )
         return self._parameters[name]
 
@@ -184,16 +177,22 @@ class ParameterSpace:
         return {name: parameter.default for name, parameter in self._parameters.items()}
 
     def validate(self, overrides: Mapping[str, Any]) -> Dict[str, Any]:
-        """Validate an override mapping; unknown names raise :class:`ModelError`."""
-        unknown = [name for name in overrides if name not in self._parameters]
-        if unknown:
-            raise ModelError(
-                f"unknown parameters {unknown}; known: {list(self._parameters)}"
-            )
-        return {
-            name: self._parameters[name].validate(value)
-            for name, value in overrides.items()
-        }
+        """Validate an override mapping, one name at a time in order.
+
+        The first rejected name — unknown, or with a bad value — raises a
+        :class:`ModelError` that names it as its ``parameter``.
+        """
+        validated: Dict[str, Any] = {}
+        for name, value in overrides.items():
+            parameter = self._parameters.get(name)
+            if parameter is None:
+                unknown = [name for name in overrides if name not in self._parameters]
+                raise ModelError(
+                    f"unknown parameters {unknown}; known: {list(self._parameters)}",
+                    parameter=name,
+                )
+            validated[name] = parameter.validate(value)
+        return validated
 
     def resolve(self, overrides: Mapping[str, Any]) -> Dict[str, Any]:
         """Defaults updated with validated overrides, in declaration order."""

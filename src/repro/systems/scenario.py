@@ -408,7 +408,10 @@ def available_scenarios() -> List[str]:
 def get_scenario(name: str) -> ScenarioLike:
     """Look up a registered scenario by name."""
     if name not in _SCENARIOS:
-        raise ModelError(f"unknown scenario {name!r}; known: {available_scenarios()}")
+        raise ModelError(
+            f"unknown scenario {name!r}; known: {available_scenarios()}",
+            parameter="scenario",
+        )
     return _SCENARIOS[name]
 
 

@@ -353,11 +353,15 @@ class TestLazyRecords:
                 plan = simulator._plan_for(warning_task)
                 for index, offset in enumerate(range(0, 600, 400)):
                     spec = engine_module._ChunkSpec(
-                        plan=plan, population=population, base_seed=SEED,
+                        plan=plan, population=population,
+                        config=SimulationConfig(
+                            n_receivers=600, seed=SEED, batch_size=400,
+                            mode=mode, rng_mode=rng_mode, rounds=2,
+                            recovery_rate=0.0, dismiss_weight=1.0,
+                            heed_weight=1.0, trace=True,
+                        ),
                         chunk_index=index, offset=offset,
-                        size=min(400, 600 - offset), mode=mode,
-                        rng_mode=rng_mode, rounds=2, recovery_rate=0.0,
-                        dismiss_weight=1.0, heed_weight=1.0, want_trace=True,
+                        size=min(400, 600 - offset),
                     )
                     engine_module._simulate_chunk(spec, records=eager)
                 assert len(eager) == 1_200

@@ -5,7 +5,8 @@ pool runs them the merged result must equal the serial fold bit for
 bit: at any group count, in both rng modes, single- and multi-round,
 from concurrent threads, and across a worker killed mid-call.  The
 automatic rule fans out only large multi-round batch runs, and never
-from inside a multiprocessing child (pool or cluster worker).
+from inside a multiprocessing child (pool or cluster worker), where
+``run_groups`` itself runs its groups in place.
 """
 
 import concurrent.futures
@@ -77,6 +78,15 @@ def _serially(monkeypatch, call):
 def _fan_out_in_worker(chunk_counts):
     config = SimulationConfig(n_receivers=100_000, rounds=10)
     return [engine_module._fan_out(config, chunks) for chunks in chunk_counts]
+
+
+def _squares(items):
+    return [item * item for item in items]
+
+
+def _nested_run_groups(batches):
+    """A pool task that itself calls run_groups, once per batch."""
+    return [pool_module.run_groups(_squares, batch, 2) for batch in batches]
 
 
 def _die_once(items):
@@ -178,6 +188,22 @@ class TestAutomaticRule:
     def test_pool_workers_never_nest(self):
         results, _ = pool_module.run_groups(_fan_out_in_worker, [2, 4, 8], 3)
         assert results == [1, 1, 1]
+
+    def test_run_groups_inside_a_pool_task_runs_serially(self):
+        # A forked worker holds a dead copy of the parent's executor; a
+        # submit into it would never return, so the call runs in place.
+        outcome = []
+        caller = threading.Thread(
+            target=lambda: outcome.append(
+                pool_module.run_groups(_nested_run_groups, [[1, 2, 3], [4, 5]], 2)
+            ),
+            daemon=True,
+        )
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "run_groups inside a pool task hung"
+        (results, _), = outcome
+        assert results == [([1, 4, 9], 1), ([16, 25], 1)]
 
     def test_small_and_single_round_runs_stay_serial(self, antiphishing):
         scenario, task, population = antiphishing
