@@ -21,9 +21,10 @@ run it* — any object satisfying the :class:`ExecutionBackend` protocol:
 the loop: it loads every shard file in a checkpoint directory, validates
 the headers and every row it would serve against the experiment, runs
 only the rows that are missing, and returns the full canonical
-:class:`ResultSet` — identical to an uninterrupted serial run.  Which
-rows a work unit produces, and what each records about how it was
-computed, is the unit's own answer
+:class:`ResultSet` — identical to an uninterrupted serial run.  A
+shard, a resume and a service job each plan once and run through one
+loop, :func:`_run_checkpointed`.  Which rows a work unit produces, and
+what each records about how it was computed, is the unit's own answer
 (:meth:`~repro.experiments.runner.VariantRun.expected_rows`): this module
 checkpoints and checks rows against it and keeps no copy of the rules.
 """
@@ -34,6 +35,7 @@ import dataclasses
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -151,97 +153,42 @@ def shard_plans(experiment: Experiment, shard_count: int) -> List[ShardPlan]:
         raise ExperimentError(f"shard_count must be >= 1, got {shard_count}")
     runs = plan_runs(experiment)
     return [
-        ShardPlan(
-            experiment=experiment.name,
-            seed=experiment.seed,
-            shard_index=index,
-            shard_count=shard_count,
-            n_variants=len(runs),
-            runs=tuple(runs[index::shard_count]),
-        )
-        for index in range(shard_count)
+        _shard(experiment, runs, index, shard_count) for index in range(shard_count)
     ]
+
+
+def _shard(
+    experiment: Experiment, runs: Sequence[VariantRun], index: int, count: int
+) -> ShardPlan:
+    """Shard ``index`` of ``count`` over an already-planned experiment."""
+    return ShardPlan(
+        experiment=experiment.name,
+        seed=experiment.seed,
+        shard_index=index,
+        shard_count=count,
+        n_variants=len(runs),
+        runs=tuple(runs[index::count]),
+    )
 
 
 @dataclasses.dataclass(frozen=True)
 class ShardProgress:
     """One progress observation of a checkpointed run, per work unit.
 
-    Emitted through the ``on_progress`` hook of :class:`ShardBackend`
-    (and :func:`resume_experiment`) once before the first work unit and
-    again after each one completes.  ``rows_committed`` counts every row
-    of this invocation's slice known to be durable (checkpoint-served
-    plus freshly appended) — the monotone signal cluster workers forward
-    as their heartbeat; ``rows_appended`` counts only what *this*
-    invocation wrote, which is what fault-injection row budgets meter.
+    Emitted by the checkpointed loop (through the ``on_progress`` hook
+    of :class:`ShardBackend`, and into a service job's event stream)
+    once before the first work unit and again after each one completes.
+    ``rows_committed`` counts every row of this invocation's slice known
+    to be durable (served plus freshly appended) — the monotone signal
+    cluster workers forward as their heartbeat; ``rows_appended`` counts
+    only the rows *this* invocation computed and wrote, which is what
+    fault-injection row budgets meter.
     """
 
     variants_done: int
     variants_total: int
     rows_committed: int
     rows_appended: int
-
-
-def _run_with_checkpoint(
-    runs: Sequence[VariantRun],
-    completed: Dict[Tuple[str, str, str], ResultRow],
-    checkpoint_path: Optional[Path],
-    header: Mapping[str, Any],
-    on_progress: Optional[Any] = None,
-) -> List[ResultRow]:
-    """Execute work units, skipping rows already in ``completed``.
-
-    Finished variants are served straight from the checkpoint; a variant
-    with any row missing is re-run, and only the rows the checkpoint
-    lacks are appended (so a run torn between a variant's analytic and
-    simulated appends never duplicates the surviving row).  ``completed``
-    is updated in place.  The shard log is held open across the whole
-    run (:class:`~repro.io.shards.ShardLogWriter`), so the torn-tail
-    recovery scan happens once per invocation and each append is
-    O(rows written) — a scheduler retry costs O(rows), not O(rows²).
-    ``on_progress`` (if given) receives a :class:`ShardProgress` before
-    the first work unit and after each one.
-    """
-    rows: List[ResultRow] = []
-    appended = 0
-    done = 0
-
-    def notify() -> None:
-        if on_progress is not None:
-            on_progress(
-                ShardProgress(
-                    variants_done=done,
-                    variants_total=len(runs),
-                    rows_committed=len(rows),
-                    rows_appended=appended,
-                )
-            )
-
-    writer = (
-        ShardLogWriter(checkpoint_path, header)
-        if checkpoint_path is not None
-        else None
-    )
-    try:
-        notify()
-        for run in runs:
-            keys = list(run.expected_rows())
-            if all(key in completed for key in keys):
-                rows.extend(completed[key] for key in keys)
-            else:
-                produced = run_variant(run)
-                fresh = [row for row in produced if row.row_key() not in completed]
-                if writer is not None and fresh:
-                    writer.append(fresh)
-                    appended += len(fresh)
-                rows.extend(completed.get(row.row_key(), row) for row in produced)
-                completed.update({row.row_key(): row for row in fresh})
-            done += 1
-            notify()
-    finally:
-        if writer is not None:
-            writer.close()
-    return rows
 
 
 def _validate_header(
@@ -292,16 +239,17 @@ def _validate_row(
 def _load_completed(
     entries: Sequence[Tuple[Path, Optional[Mapping[str, Any]], Sequence[ResultRow]]],
     experiment: Experiment,
+    plan: Sequence[VariantRun],
 ) -> Dict[Tuple[str, str, str], ResultRow]:
     """Index checkpointed rows by identity, rejecting clashes across files.
 
-    Every row a work unit would serve is checked against that unit before
-    anything runs (:func:`_validate_row`), so a mismatch raises before a
-    single row is appended.
+    Every row a work unit of ``plan`` would serve is checked against that
+    unit before anything runs (:func:`_validate_row`), so a mismatch
+    raises before a single row is appended.
     """
     units = {
         key: (run, fields)
-        for run in plan_runs(experiment)
+        for run in plan
         for key, fields in run.expected_rows().items()
     }
     tasks: Dict[int, str] = {}
@@ -327,6 +275,74 @@ def _load_completed(
             completed[key] = row
             origin[key] = path
     return completed
+
+
+def _run_checkpointed(
+    experiment: Experiment,
+    plan: Sequence[VariantRun],
+    runs: Sequence[VariantRun],
+    directory: Optional[Path],
+    filename: str,
+    header: Mapping[str, Any],
+    on_progress: Optional[Callable[[ShardProgress], None]] = None,
+    served: Optional[Mapping[Tuple[str, str, str], ResultRow]] = None,
+) -> List[ResultRow]:
+    """Execute the work units ``runs`` (a slice of ``plan``), checkpointed.
+
+    With a ``directory``, its rows are checked against ``plan`` first
+    (:func:`_load_completed`), and rows answered elsewhere (``served``,
+    keyed by the planned row each answers) are committed to
+    ``directory / filename``.  Variants with every row at hand are
+    served; any other is re-run and only the rows the checkpoint lacks
+    are appended, through one held-open
+    :class:`~repro.io.shards.ShardLogWriter`.  ``on_progress`` receives
+    a :class:`ShardProgress` before the first work unit and after each.
+    """
+    completed: Dict[Tuple[str, str, str], ResultRow] = {}
+    writer: Optional[ShardLogWriter] = None
+    if directory is not None:
+        directory.mkdir(parents=True, exist_ok=True)
+        completed = _load_completed(load_checkpoint(directory), experiment, plan)
+        writer = ShardLogWriter(directory / filename, header)
+    rows: List[ResultRow] = []
+    appended = 0
+    done = 0
+
+    def notify() -> None:
+        if on_progress is not None:
+            on_progress(
+                ShardProgress(
+                    variants_done=done,
+                    variants_total=len(runs),
+                    rows_committed=len(rows),
+                    rows_appended=appended,
+                )
+            )
+
+    try:
+        if served:
+            if writer is not None:
+                writer.append(served.values())
+            completed.update(served)
+        notify()
+        for run in runs:
+            keys = list(run.expected_rows())
+            if all(key in completed for key in keys):
+                rows.extend(completed[key] for key in keys)
+            else:
+                produced = run_variant(run)
+                fresh = [row for row in produced if row.row_key() not in completed]
+                if writer is not None and fresh:
+                    writer.append(fresh)
+                    appended += len(fresh)
+                rows.extend(completed.get(row.row_key(), row) for row in produced)
+                completed.update({row.row_key(): row for row in fresh})
+            done += 1
+            notify()
+    finally:
+        if writer is not None:
+            writer.close()
+    return rows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -364,23 +380,16 @@ class ShardBackend:
                 f"shard_index must be in [0, {self.shard_count}), got {self.shard_index}"
             )
 
-    def plan(self, experiment: Experiment) -> ShardPlan:
-        """This shard's slice of the experiment's work units."""
-        return shard_plans(experiment, self.shard_count)[self.shard_index]
-
     def execute(self, experiment: Experiment) -> ResultSet:
-        plan = self.plan(experiment)
-        checkpoint_path: Optional[Path] = None
-        completed: Dict[Tuple[str, str, str], ResultRow] = {}
-        if self.checkpoint_dir is not None:
-            directory = Path(self.checkpoint_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            checkpoint_path = directory / shard_filename(
-                self.shard_index, self.shard_count
-            )
-            completed = _load_completed(load_checkpoint(directory), experiment)
-        rows = _run_with_checkpoint(
-            plan.runs, completed, checkpoint_path, plan.header(),
+        runs = plan_runs(experiment)
+        shard = _shard(experiment, runs, self.shard_index, self.shard_count)
+        rows = _run_checkpointed(
+            experiment,
+            runs,
+            shard.runs,
+            None if self.checkpoint_dir is None else Path(self.checkpoint_dir),
+            shard_filename(self.shard_index, self.shard_count),
+            shard.header(),
             on_progress=self.on_progress,
         )
         return ResultSet(experiment=experiment.name, rows=rows, seed=experiment.seed)
@@ -402,16 +411,15 @@ def resume_experiment(experiment: Experiment, checkpoint_dir: str) -> ResultSet:
             f"checkpoint directory {str(directory)!r} does not exist"
         )
     runs = plan_runs(experiment)
-    completed = _load_completed(load_checkpoint(directory), experiment)
-    resume_header = {
+    header = {
         "experiment": experiment.name,
         "seed": experiment.seed,
         "shard_index": None,
         "shard_count": None,
         "n_variants": len(runs),
     }
-    rows = _run_with_checkpoint(
-        runs, completed, directory / RESUME_FILENAME, resume_header
+    rows = _run_checkpointed(
+        experiment, runs, runs, directory, RESUME_FILENAME, header
     )
     return ResultSet(experiment=experiment.name, rows=rows, seed=experiment.seed)
 

@@ -43,6 +43,17 @@ PathLike = Union[str, Path]
 EVENTLOG_SUFFIX = ".jsonl"
 
 
+def _recover_committed_lines(path: Path) -> int:
+    """Cut a torn final line (never a committed record) off an append-only
+    JSONL file and count the committed lines: both writers' open-time recovery."""
+    content = path.read_bytes()
+    committed = content.rfind(b"\n") + 1  # 0 when no full line survives
+    if committed < len(content):
+        with open(path, "r+b") as handle:
+            handle.truncate(committed)
+    return content.count(b"\n", 0, committed)
+
+
 class EventLogWriter:
     """Append events to a JSONL stream, one flushed line per event.
 
@@ -60,14 +71,8 @@ class EventLogWriter:
         self._seq = 0
 
     def _open(self) -> None:
-        committed = 0
         if self.path.exists():
-            content = self.path.read_bytes()
-            committed = content.rfind(b"\n") + 1  # 0 when no full line survives
-            if committed < len(content):
-                with open(self.path, "r+b") as handle:
-                    handle.truncate(committed)
-            self._seq = content.count(b"\n", 0, committed)
+            self._seq = _recover_committed_lines(self.path)
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "a", encoding="utf-8")

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..core.exceptions import SerializationError
+from .eventlog import _recover_committed_lines
 from .experiments_io import result_row_from_dict, result_row_to_dict
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "TELEMETRY_PREFIXES",
     "shard_filename",
     "ShardLogWriter",
-    "append_shard_rows",
     "read_shard",
     "load_checkpoint",
 ]
@@ -68,13 +68,11 @@ def shard_filename(shard_index: int, shard_count: int) -> str:
 class ShardLogWriter:
     """Append rows to one shard file across a whole run, opening it once.
 
-    The historical :func:`append_shard_rows` re-read the entire file on
-    *every* append to find (and truncate) a torn final line — O(file) per
-    variant, O(rows²) per run, which a scheduler retrying shards pays on
-    every attempt.  The writer does that recovery scan exactly once, when
-    the file is first opened, and every subsequent :meth:`append` is a
-    pure O(rows-written) line append + flush.  Committed records are
-    still never rewritten: the one truncation removes only an
+    The torn-tail recovery scan (find and truncate an unterminated final
+    line) runs exactly once, when the file is first opened, so every
+    :meth:`append` is a pure O(rows-written) line append + flush and a
+    scheduler retrying a shard pays O(rows), not O(rows²).  Committed
+    records are never rewritten: the one truncation removes only an
     unterminated fragment, which was never a committed record.
 
     The ``header`` mapping is only consulted when the file holds no
@@ -89,13 +87,7 @@ class ShardLogWriter:
         self._handle = None
 
     def _open(self) -> None:
-        committed = 0
-        if self.path.exists():
-            content = self.path.read_bytes()
-            committed = content.rfind(b"\n") + 1  # 0 when no full line survives
-            if committed < len(content):
-                with open(self.path, "r+b") as handle:
-                    handle.truncate(committed)
+        committed = _recover_committed_lines(self.path) if self.path.exists() else 0
         self._handle = open(self.path, "a", encoding="utf-8")
         if committed == 0:
             self._write_line(
@@ -137,21 +129,6 @@ class ShardLogWriter:
         self.close()
 
 
-def append_shard_rows(
-    path: PathLike, rows: Iterable[Any], header: Mapping[str, Any]
-) -> Path:
-    """Append result rows to a shard file, creating it (header first) if new.
-
-    One-shot convenience over :class:`ShardLogWriter` — callers appending
-    repeatedly across a run should hold a writer instead, which amortizes
-    the torn-tail recovery scan to one per run.
-    """
-    path = Path(path)
-    with ShardLogWriter(path, header) as writer:
-        writer.append(rows)
-    return path
-
-
 def read_shard(path: PathLike) -> Tuple[Optional[Dict[str, Any]], List[Any]]:
     """Parse one shard file into its ``(header, rows)``.
 
@@ -173,7 +150,7 @@ def read_shard(path: PathLike) -> Tuple[Optional[Dict[str, Any]], List[Any]]:
         # created but the header never flushed.  Same verdict as a torn
         # header — nothing was ever committed.
         return None, []
-    # A committed record always ends in a newline (append_shard_rows writes
+    # A committed record always ends in a newline (ShardLogWriter writes
     # line + "\n"); only an unterminated final line can be a torn write.
     torn_tail = not text.endswith("\n")
     try:

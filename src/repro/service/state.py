@@ -7,27 +7,26 @@ One :class:`ServiceState` backs every router: the content-keyed
 compute its key without building the scenario system, the
 :class:`~repro.service.jobs.JobStore` ledger under ``data_dir/jobs/``,
 and the :class:`~repro.service.jobs.JobWorker` that executes async
-sweeps through the ordinary experiment machinery — a
-:class:`~repro.experiments.backends.ShardBackend` writing append-only
-shard checkpoints into the job's own directory, with every
+sweeps through the checkpointed loop shards and resumes run, writing
+append-only shard checkpoints into the job's own directory, with every
 :class:`~repro.experiments.backends.ShardProgress` observation forwarded
-into the job's event stream.  A sweep whose rows are all cached is
-assembled from the cache and written straight to the job checkpoint:
-done, observable, and no engine work.
+into the job's event stream.  A new job gets a new directory, so it
+dedups against the cache: fully cached units are not recomputed, and a
+fully cached sweep does no engine work.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Any, Dict, Sequence
+from typing import Any, Dict, Sequence, Tuple
 
-from ..experiments.backends import ShardBackend, ShardProgress, shard_plans
+from ..experiments.backends import ShardProgress, _run_checkpointed, shard_plans
 from ..experiments.design import Experiment
-from ..experiments.results import ResultSet
-from ..experiments.runner import VariantRun, plan_runs
+from ..experiments.results import ResultRow, ResultSet
+from ..experiments.runner import VariantRun
 from ..io.experiments_io import result_row_from_dict, result_row_to_dict
-from ..io.shards import ShardLogWriter, load_checkpoint, shard_filename
+from ..io.shards import load_checkpoint, shard_filename
 from .cache import CACHE_FILENAME, ResultCache
 from .errors import BadRequestError
 from .jobs import JobRecord, JobStore, JobWorker
@@ -90,55 +89,46 @@ class ServiceState:
     def _execute_job(self, job_id: str) -> Dict[str, Any]:
         """Run one ledgered sweep; the default :class:`JobWorker` executor.
 
-        Fully-cached sweeps are assembled from the cache and appended to
-        the job's checkpoint file — the job completes with zero engine
-        work but its results stay addressable by job id like any other.
-        Everything else runs through a single-shard checkpointing
-        backend, so a retried or resubmitted job dedups against whatever
-        its directory already committed.
+        Planned once, as one shard: each fully cached work unit is
+        served from the cache (hit-counted, as inline), and the shared
+        checkpointed loop commits those rows to the job's directory and
+        runs the rest.  Only computed rows are miss-counted and stored;
+        ``from_cache`` means no unit was computed.
         """
         record = self.jobs.get(job_id)
         experiment = build_experiment(record.request, default_name=job_id)
-        job_dir = self.jobs.job_dir(job_id)
-
-        runs = plan_runs(experiment)
-        cached = serve_cached(self.cache, self.task_names, runs)
-        if cached is not None:
-            rows = [result_row_from_dict(payload) for payload in cached]
-            plan = shard_plans(experiment, 1)[0]
-            with ShardLogWriter(
-                job_dir / shard_filename(0, 1), plan.header()
-            ) as writer:
-                writer.append(rows)
-            self.jobs.mark_progress(
-                job_id,
-                {
-                    "variants_done": len(runs),
-                    "variants_total": len(runs),
-                    "rows_committed": len(rows),
-                    "rows_appended": 0,
-                },
-            )
-            return {
-                "experiment": experiment.name,
-                "rows": len(rows),
-                "from_cache": True,
-            }
+        shard = shard_plans(experiment, 1)[0]
+        served: Dict[Tuple[str, str, str], ResultRow] = {}
+        for run in shard.runs:
+            cached = serve_cached(self.cache, self.task_names, [run])
+            if cached is not None:
+                served.update(
+                    zip(run.expected_rows(), map(result_row_from_dict, cached))
+                )
 
         def on_progress(progress: ShardProgress) -> None:
             self.jobs.mark_progress(job_id, dataclasses.asdict(progress))
 
-        backend = ShardBackend(
-            0, 1, checkpoint_dir=str(job_dir), on_progress=on_progress
+        rows = _run_checkpointed(
+            experiment,
+            shard.runs,
+            shard.runs,
+            self.jobs.job_dir(job_id),
+            shard_filename(0, 1),
+            shard.header(),
+            on_progress=on_progress,
+            served=served,
         )
-        resultset = backend.execute(experiment)
-        payloads = [result_row_to_dict(row) for row in resultset.rows]
-        self.cache.note_misses(len(payloads))
-        self.cache.store_rows(payloads)
+        hits = {row.row_key() for row in served.values()}
+        computed = [
+            result_row_to_dict(row) for row in rows if row.row_key() not in hits
+        ]
+        self.cache.note_misses(len(computed))
+        self.cache.store_rows(computed)
         return {
             "experiment": experiment.name,
-            "rows": len(payloads),
-            "from_cache": False,
+            "rows": len(rows),
+            "from_cache": not computed,
         }
 
     # -- results -----------------------------------------------------------------

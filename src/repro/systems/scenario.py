@@ -202,8 +202,10 @@ class _ScenarioPaths:
         return {}
 
     def simulator(self, **config_overrides) -> HumanLoopSimulator:
-        """An engine configured with this scenario's calibration."""
-        config_overrides.setdefault("calibration", self.calibration())
+        """An engine configured with this scenario's calibration and engine
+        defaults; explicit ``config_overrides`` win over both."""
+        if "calibration" not in config_overrides:
+            config_overrides["calibration"] = self.calibration()
         for name, value in self.simulation_defaults().items():
             config_overrides.setdefault(name, value)
         return HumanLoopSimulator(SimulationConfig(**config_overrides))
@@ -226,10 +228,9 @@ class _ScenarioPaths:
         """
         components = self.components()
         components.system.validate()
-        config_overrides.setdefault("calibration", components.calibration)
-        for name, value in self.simulation_defaults().items():
-            config_overrides.setdefault(name, value)
-        simulator = HumanLoopSimulator(SimulationConfig(**config_overrides))
+        simulator = self.simulator(
+            **{"calibration": components.calibration, **config_overrides}
+        )
         return simulator.simulate_task(
             self.resolve_task(components.system, task),
             components.population,

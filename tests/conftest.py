@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core import (
@@ -111,3 +113,25 @@ def small_system(warning_task: HumanSecurityTask, memory_task: HumanSecurityTask
         description="two-task test system",
         tasks=[warning_task, memory_task],
     )
+
+
+@pytest.fixture
+def plan_runs_calls(monkeypatch):
+    """The names of the experiments planned while the test runs.
+
+    Wraps :func:`repro.experiments.runner.plan_runs` in every loaded
+    ``repro`` module that imported it, so a plan made anywhere counts.
+    """
+    import repro.experiments.runner as runner
+
+    calls = []
+    original = runner.plan_runs
+
+    def spy(experiment):
+        calls.append(experiment.name)
+        return original(experiment)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "plan_runs", None) is original:
+            monkeypatch.setattr(module, "plan_runs", spy)
+    return calls

@@ -21,6 +21,7 @@ from repro.experiments import (
     VariantSpec,
     reproduce_row,
     resolve_backend,
+    resume_experiment,
     shard_plans,
 )
 from repro.experiments import ShardProgress
@@ -437,6 +438,26 @@ class TestResumeChecksServedRows:
         assert executed == []
         assert resumed.to_dict() == original.to_dict()
         assert not (tmp_path / "resume.jsonl").exists()
+
+
+class TestPlansOnce:
+    """Each checkpointed entry point plans its experiment exactly once."""
+
+    def test_checkpointed_shard_plans_once(
+        self, experiment, tmp_path, plan_runs_calls
+    ):
+        backend = ShardBackend(0, 2, checkpoint_dir=str(tmp_path))
+        backend.execute(experiment)
+        assert plan_runs_calls == [experiment.name]
+        backend.execute(experiment)  # re-invocation served from the checkpoint
+        assert plan_runs_calls == [experiment.name] * 2
+
+    def test_resume_plans_once(self, experiment, serial, tmp_path, plan_runs_calls):
+        ShardBackend(1, 2, checkpoint_dir=str(tmp_path)).execute(experiment)
+        del plan_runs_calls[:]
+        resumed = resume_experiment(experiment, str(tmp_path))
+        assert plan_runs_calls == [experiment.name]
+        assert canonical(resumed) == canonical(serial)
 
 
 class TestShardProgress:

@@ -10,7 +10,6 @@ from repro.io import (
     SHARD_FORMAT_VERSION,
     TELEMETRY_PREFIXES,
     ShardLogWriter,
-    append_shard_rows,
     load_checkpoint,
     read_shard,
     result_row_to_dict,
@@ -25,6 +24,12 @@ HEADER = {
     "shard_count": 2,
     "n_variants": 2,
 }
+
+
+def append_rows(path, rows):
+    """Commit ``rows`` to a shard file in one writer session."""
+    with ShardLogWriter(path, HEADER) as writer:
+        writer.append(rows)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +51,7 @@ class TestShardFilename:
 class TestRoundTrip:
     def test_rows_round_trip_exactly(self, rows, tmp_path):
         path = tmp_path / shard_filename(0, 2)
-        append_shard_rows(path, rows, header=HEADER)
+        append_rows(path, rows)
         header, loaded = read_shard(path)
         assert header["experiment"] == "shard-io-test"
         assert header["format_version"] == SHARD_FORMAT_VERSION
@@ -56,9 +61,9 @@ class TestRoundTrip:
 
     def test_append_is_append_only(self, rows, tmp_path):
         path = tmp_path / shard_filename(0, 2)
-        append_shard_rows(path, rows[:1], header=HEADER)
+        append_rows(path, rows[:1])
         first = path.read_text()
-        append_shard_rows(path, rows[1:], header=HEADER)
+        append_rows(path, rows[1:])
         assert path.read_text().startswith(first), "existing bytes must not change"
         header_lines = [
             line for line in path.read_text().splitlines() if '"kind": "header"' in line
@@ -68,8 +73,8 @@ class TestRoundTrip:
         assert len(loaded) == len(rows)
 
     def test_load_checkpoint_visits_files_in_name_order(self, rows, tmp_path):
-        append_shard_rows(tmp_path / shard_filename(1, 2), rows[1:], header=HEADER)
-        append_shard_rows(tmp_path / shard_filename(0, 2), rows[:1], header=HEADER)
+        append_rows(tmp_path / shard_filename(1, 2), rows[1:])
+        append_rows(tmp_path / shard_filename(0, 2), rows[:1])
         entries = load_checkpoint(tmp_path)
         assert [path.name for path, _, _ in entries] == [
             shard_filename(0, 2),
@@ -85,7 +90,7 @@ class TestRoundTrip:
         # Scheduler event logs and heartbeat streams share the directory
         # (and suffix) but are not checkpoints; loading must skip them
         # rather than choke on their headerless records.
-        append_shard_rows(tmp_path / shard_filename(0, 2), rows, header=HEADER)
+        append_rows(tmp_path / shard_filename(0, 2), rows)
         (tmp_path / "scheduler-events.jsonl").write_text(
             json.dumps({"seq": 0, "event": "queued", "shard": 0}) + "\n"
         )
@@ -111,7 +116,7 @@ class TestShardLogWriter:
             return original(self)
 
         path = tmp_path / shard_filename(0, 2)
-        append_shard_rows(path, rows[:1], header=HEADER)  # pre-existing file
+        append_rows(path, rows[:1])  # pre-existing file
         monkeypatch.setattr(pathlib.Path, "read_bytes", counting_read_bytes)
         with ShardLogWriter(path, HEADER) as writer:
             for row in rows * 3:  # many appends in one run
@@ -122,7 +127,7 @@ class TestShardLogWriter:
 
     def test_writer_recovers_torn_tail_once(self, rows, tmp_path):
         path = tmp_path / shard_filename(0, 2)
-        append_shard_rows(path, rows[:1], header=HEADER)
+        append_rows(path, rows[:1])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "row", "row": {"experi')  # killed mid-append
         with ShardLogWriter(path, HEADER) as writer:
@@ -154,7 +159,7 @@ class TestCorruption:
         path = tmp_path / shard_filename(0, 2)
         path.write_text("")
         assert read_shard(path) == (None, [])
-        append_shard_rows(path, rows, header=HEADER)
+        append_rows(path, rows)
         header, loaded = read_shard(path)
         assert header is not None and len(loaded) == len(rows)
 
@@ -176,10 +181,10 @@ class TestCorruption:
 
     def test_append_after_torn_tail_truncates_the_fragment(self, rows, tmp_path):
         path = tmp_path / shard_filename(0, 2)
-        append_shard_rows(path, rows[:1], header=HEADER)
+        append_rows(path, rows[:1])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "row", "row": {"experi')  # no trailing newline
-        append_shard_rows(path, rows[1:], header=HEADER)
+        append_rows(path, rows[1:])
         header, loaded = read_shard(path)
         assert header is not None
         assert len(loaded) == len(rows), "fresh append must not fuse with the fragment"
@@ -190,14 +195,14 @@ class TestCorruption:
         header, loaded = read_shard(path)
         assert header is None and loaded == []
         # Appending recovers the file from scratch, header included.
-        append_shard_rows(path, rows, header=HEADER)
+        append_rows(path, rows)
         header, loaded = read_shard(path)
         assert header["experiment"] == "shard-io-test"
         assert len(loaded) == len(rows)
 
     def test_torn_final_line_is_tolerated(self, rows, tmp_path):
         path = tmp_path / shard_filename(0, 2)
-        append_shard_rows(path, rows, header=HEADER)
+        append_rows(path, rows)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "row", "row": {"experi')  # killed mid-append
         _, loaded = read_shard(path)
@@ -208,7 +213,7 @@ class TestCorruption:
         # bad (tampering, disk corruption) — not a torn write — and must
         # raise rather than be silently dropped.
         path = tmp_path / shard_filename(0, 2)
-        append_shard_rows(path, rows, header=HEADER)
+        append_rows(path, rows)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("not json\n")
         with pytest.raises(SerializationError, match="malformed"):
@@ -222,16 +227,16 @@ class TestCorruption:
 
     def test_malformed_interior_line_rejected(self, rows, tmp_path):
         path = tmp_path / shard_filename(0, 2)
-        append_shard_rows(path, rows[:1], header=HEADER)
+        append_rows(path, rows[:1])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("not json\n")
-        append_shard_rows(path, rows[1:], header=HEADER)
+        append_rows(path, rows[1:])
         with pytest.raises(SerializationError, match="malformed"):
             read_shard(path)
 
     def test_tampered_params_fail_the_hash_check(self, rows, tmp_path):
         path = tmp_path / shard_filename(0, 2)
-        append_shard_rows(path, rows, header=HEADER)
+        append_rows(path, rows)
         lines = path.read_text().splitlines()
         payload = json.loads(lines[1])
         payload["row"]["params"]["single_sign_on"] = True  # quietly "improve" a result

@@ -162,6 +162,7 @@ class TestCachedJobPath:
         self, app, service_state, monkeypatch
     ):
         import repro.experiments.backends as backends
+        import repro.service.requests as requests
 
         first_id = submit_and_run(app, service_state)
         first = app.handle("GET", f"/results/{first_id}")[1]
@@ -169,10 +170,34 @@ class TestCachedJobPath:
         def forbidden(self, experiment):
             raise AssertionError("backend ran on a fully-cached job")
 
+        def forbidden_run(run):
+            raise AssertionError("a variant ran on a fully-cached job")
+
         monkeypatch.setattr(backends.ShardBackend, "execute", forbidden)
+        monkeypatch.setattr(backends, "run_variant", forbidden_run)
+        monkeypatch.setattr(requests, "run_variant", forbidden_run)
         second_id = submit_and_run(app, service_state)
         record = service_state.jobs.get(second_id)
         assert record.status == "done"
         assert record.summary["from_cache"] is True
         second = app.handle("GET", f"/results/{second_id}")[1]
         assert second["resultset"] == first["resultset"]
+
+
+class TestJobPlansOnce:
+    def _submit(self, app):
+        status, payload = app.handle("POST", "/sweep", body=dict(SWEEP))
+        assert status == 202
+        return payload["job"]["job_id"]
+
+    def test_fresh_and_cached_jobs_plan_once(
+        self, app, service_state, plan_runs_calls
+    ):
+        for expected_from_cache in (False, True):
+            job_id = self._submit(app)
+            del plan_runs_calls[:]  # the route plans to cost the request
+            assert service_state.run_pending_jobs() == 1
+            record = service_state.jobs.get(job_id)
+            assert record.status == "done", record.error
+            assert record.summary["from_cache"] is expected_from_cache
+            assert plan_runs_calls == [SWEEP["name"]]

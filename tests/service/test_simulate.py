@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.experiments.backends as backends_module
 import repro.experiments.runner as runner_module
 import repro.service.requests as service_requests
 import repro.systems.passwords as passwords_module
@@ -402,6 +403,44 @@ class TestHitsDoNoBinding:
         assert by_hash(result["resultset"]["rows"]) == by_hash(
             first["resultset"]["rows"]
         )
+
+    def test_partially_cached_detached_sweep(self, app, service_state, monkeypatch):
+        point = {**self.BODY, "params": {"single_sign_on": True}}
+        status, first = wsgi_call(app, "POST", "/simulate", point)
+        assert status == 200 and first["cache"]["computed"] == 1
+        hits, misses = self._counts(app)
+        ran = []
+        original = backends_module.run_variant
+
+        def counting(run):
+            ran.append(run.label)
+            return original(run)
+
+        monkeypatch.setattr(backends_module, "run_variant", counting)
+        status, submitted = wsgi_call(app, "POST", "/sweep", {
+            **self.BODY,
+            "grid": {"single_sign_on": [False, True]},
+            "seed_strategy": "shared",
+            "detach": True,
+        })
+        assert status == 202
+        assert service_state.run_pending_jobs() == 1
+        job_id = submitted["job"]["job_id"]
+        job = app.handle("GET", f"/jobs/{job_id}")[1]["job"]
+        assert job["status"] == "done", job["error"]
+        assert job["summary"]["from_cache"] is False
+        assert ran == ["single_sign_on=False"]  # the uncached point only
+        assert self._counts(app) == (hits + 1, misses + 1)
+        status, result = wsgi_call(app, "GET", f"/results/{job_id}")
+        assert status == 200
+        rows = result["resultset"]["rows"]
+        assert len(rows) == 2
+        cached = first["resultset"]["rows"][0]
+        assert [
+            self._canonical_bytes(row)
+            for row in rows
+            if row["variant_hash"] == cached["variant_hash"]
+        ] == [self._canonical_bytes(cached)]
 
     def test_replayed_row_is_a_hit_with_a_cold_memo(self, tmp_path, monkeypatch):
         config = ServiceConfig(
