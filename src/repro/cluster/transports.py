@@ -179,20 +179,18 @@ class LocalProcessFleet:
 
     ``max_workers`` is the fleet's concurrency capacity (``None`` — the
     machine's core count); the scheduler consults it when it has no
-    explicit cap of its own.  ``mp_context`` picks the multiprocessing
-    start method (``None`` — the platform default).
+    explicit cap of its own.  Workers start with the platform's default
+    multiprocessing start method.
     """
 
     max_workers: Optional[int] = None
-    mp_context: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
 
     def launch(self, assignment: ShardAssignment) -> LocalWorkerHandle:
-        context = multiprocessing.get_context(self.mp_context)
-        process = context.Process(
+        process = multiprocessing.Process(
             target=run_assignment,
             args=(assignment,),
             name=(

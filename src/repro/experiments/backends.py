@@ -22,9 +22,10 @@ the loop: it loads every shard file in a checkpoint directory, validates
 the headers and every row it would serve against the experiment, runs
 only the rows that are missing, and returns the full canonical
 :class:`ResultSet` — identical to an uninterrupted serial run.  A
-shard, a resume and a service job each plan once and run through one
-loop, :func:`_run_checkpointed`.  Which rows a work unit produces, and
-what each records about how it was computed, is the unit's own answer
+shard, a resume and every service request (inline or a job) each plan
+once and run through one loop, :func:`run_checkpointed`.  Which rows a
+work unit produces, and what each records about how it was computed, is
+the unit's own answer
 (:meth:`~repro.experiments.runner.VariantRun.expected_rows`): this module
 checkpoints and checks rows against it and keeps no copy of the rules.
 """
@@ -67,6 +68,7 @@ __all__ = [
     "shard_plans",
     "resolve_backend",
     "resume_experiment",
+    "run_checkpointed",
 ]
 
 
@@ -277,7 +279,7 @@ def _load_completed(
     return completed
 
 
-def _run_checkpointed(
+def run_checkpointed(
     experiment: Experiment,
     plan: Sequence[VariantRun],
     runs: Sequence[VariantRun],
@@ -292,11 +294,12 @@ def _run_checkpointed(
     With a ``directory``, its rows are checked against ``plan`` first
     (:func:`_load_completed`), and rows answered elsewhere (``served``,
     keyed by the planned row each answers) are committed to
-    ``directory / filename``.  Variants with every row at hand are
-    served; any other is re-run and only the rows the checkpoint lacks
-    are appended, through one held-open
-    :class:`~repro.io.shards.ShardLogWriter`.  ``on_progress`` receives
-    a :class:`ShardProgress` before the first work unit and after each.
+    ``directory / filename``; without one, nothing is read or written.
+    Variants with every row at hand are served; any other is re-run and
+    only the rows the checkpoint lacks are appended, through one
+    held-open :class:`~repro.io.shards.ShardLogWriter`.  ``on_progress``
+    receives a :class:`ShardProgress` before the first work unit and
+    after each.
     """
     completed: Dict[Tuple[str, str, str], ResultRow] = {}
     writer: Optional[ShardLogWriter] = None
@@ -383,7 +386,7 @@ class ShardBackend:
     def execute(self, experiment: Experiment) -> ResultSet:
         runs = plan_runs(experiment)
         shard = _shard(experiment, runs, self.shard_index, self.shard_count)
-        rows = _run_checkpointed(
+        rows = run_checkpointed(
             experiment,
             runs,
             shard.runs,
@@ -418,7 +421,7 @@ def resume_experiment(experiment: Experiment, checkpoint_dir: str) -> ResultSet:
         "shard_count": None,
         "n_variants": len(runs),
     }
-    rows = _run_checkpointed(
+    rows = run_checkpointed(
         experiment, runs, runs, directory, RESUME_FILENAME, header
     )
     return ResultSet(experiment=experiment.name, rows=rows, seed=experiment.seed)

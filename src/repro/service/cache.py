@@ -29,7 +29,10 @@ lookup returning the **exact bytes of the first computation**: entries
 are stored as their canonical serialized JSON string and parsed fresh on
 every hit, so no caller can mutate the cached bytes, and the first store
 wins — a racing duplicate computation never replaces what an earlier
-client was served.
+client was served.  Three fields of a row are not content but the
+request's own label — ``experiment``, ``variant`` and ``variant_index``
+— and a served row takes those from the request serving it
+(:func:`repro.service.requests.serve_cached`).
 
 Because the first store wins forever, a wrong row must never get in.
 Before inserting, :meth:`ResultCache.store` checks the row — every metric

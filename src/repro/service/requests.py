@@ -16,11 +16,15 @@ service always runs at the engine default, and the cache admits no row
 recorded at any other batch size.  Where the engine runs a row's chunks
 is its own choice; the row's ``chunk_workers`` records it as telemetry.
 
-:func:`run_with_cache` is the service's synchronous execution path: of
-an experiment's per-variant work units it serves any whose rows are all
-cached (exact first-computation bytes, hit-counted; :func:`serve_cached`)
-and runs only the rest — so re-submitting a sweep that was ever computed
-does no engine work.  A unit knows its rows' identities
+:func:`run_with_cache` is the service's one execution path, for inline
+``/simulate``, ``/sweep`` and ``/analyze`` requests and for jobs alike:
+of an experiment's per-variant work units it serves any whose rows are
+all cached (hit-counted; :func:`serve_cached`) and runs only the rest
+through the checkpointed loop — so re-submitting a sweep that was ever
+computed does no engine work.  A served row is the first computation's
+exact bytes except for three request-local fields, ``experiment``,
+``variant`` and ``variant_index``, which name the request serving it.
+A unit knows its rows' identities
 (:meth:`~repro.experiments.runner.VariantRun.expected_rows`) except the
 resolved task name, which needs the scenario's built system; a
 :class:`TaskNameMemo` owned by the service state remembers it per point
@@ -32,12 +36,15 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..experiments.backends import ShardProgress, run_checkpointed
 from ..experiments.design import Experiment, SweepSpec, VariantSpec
-from ..experiments.results import ResultSet
-from ..experiments.runner import VariantRun, resolved_task_name, run_variant
+from ..experiments.results import ResultRow, ResultSet
+from ..experiments.runner import VariantRun, resolved_task_name
 from ..io.experiments_io import result_row_from_dict, result_row_to_dict
+from ..io.shards import shard_filename
 from ..systems.scenario import get_scenario
 from .cache import CacheKey, ResultCache, row_cache_key
 from .errors import BadRequestError
@@ -241,22 +248,27 @@ def predicted_run_keys(run: VariantRun, task_names: TaskNameMemo) -> List[CacheK
 
 
 def serve_cached(
-    cache: ResultCache, task_names: TaskNameMemo, runs: Sequence[VariantRun]
-) -> Optional[List[Dict[str, Any]]]:
-    """Every row of ``runs`` served from the cache, or ``None`` if one is missing.
+    cache: ResultCache, task_names: TaskNameMemo, run: VariantRun
+) -> Dict[Tuple[str, str, str], ResultRow]:
+    """Every row of ``run`` served from the cache, keyed by its planned row.
 
     All or nothing: rows are served (and hit-counted) only once every
-    predicted key is cached, so a miss leaves the counters untouched.
+    predicted key is cached, so a miss serves nothing and counts nothing.
+    A served row takes ``experiment``, ``variant`` and ``variant_index``
+    from ``run``, the request serving it; the rest is the cached bytes.
     """
-    keys = [key for run in runs for key in predicted_run_keys(run, task_names)]
+    keys = predicted_run_keys(run, task_names)
     if not all(cache.peek(key) for key in keys):
-        return None
-    payloads: List[Dict[str, Any]] = []
+        return {}
+    identity: Dict[str, Any] = dict(
+        experiment=run.experiment, variant=run.label, variant_index=run.variant_index
+    )
+    rows: List[ResultRow] = []
     for key in keys:
         payload = cache.serve(key)
         assert payload is not None  # peeked under first-write-wins
-        payloads.append(payload)
-    return payloads
+        rows.append(result_row_from_dict({**payload, **identity}))
+    return dict(zip(run.expected_rows(), rows))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -276,37 +288,38 @@ def run_with_cache(
     task_names: TaskNameMemo,
     experiment: Experiment,
     runs: Sequence[VariantRun],
+    directory: Optional[Path] = None,
+    on_progress: Optional[Callable[[ShardProgress], None]] = None,
 ) -> CachedRunOutcome:
     """Run an experiment's work units, serving fully-cached ones without engine work.
 
     ``runs`` is the experiment's plan (:func:`~repro.experiments.runner.plan_runs`).
-    Per work unit: when every predicted row identity is cached, the rows
-    are served from the cache (:func:`serve_cached`) and the variant never
-    simulates or analyzes, and binds only if ``task_names`` has not seen
-    its point yet (a server warmed from a replayed cache, say); otherwise
-    the unit runs, its misses are counted, and its rows are stored under
-    their recorded identity — first write wins, so a racing duplicate
-    keeps the original bytes.
+    Each unit whose rows are all cached is served (:func:`serve_cached`):
+    it never runs, and binds only if ``task_names`` has not seen its
+    point yet (a server warmed from a replayed cache, say).  The rest run
+    through :func:`~repro.experiments.backends.run_checkpointed`, as one
+    shard checkpointed into a job's ``directory`` with every progress
+    observation passed to ``on_progress``, or with no checkpoint I/O
+    inline.  Only computed rows are miss-counted and stored — first
+    write wins, so a racing duplicate keeps the original bytes.
     """
-    served = 0
-    computed = 0
-    payloads: List[Dict[str, Any]] = []
+    served: Dict[Tuple[str, str, str], ResultRow] = {}
     for run in runs:
-        cached = serve_cached(cache, task_names, [run])
-        if cached is not None:
-            payloads.extend(cached)
-            served += len(cached)
-        else:
-            rows = run_variant(run)
-            cache.note_misses(len(rows))
-            computed += len(rows)
-            for row in rows:
-                payload = result_row_to_dict(row)
-                cache.store(row_cache_key(payload), payload)
-                payloads.append(payload)
-    resultset = ResultSet(
-        experiment=experiment.name,
-        rows=[result_row_from_dict(payload) for payload in payloads],
-        seed=experiment.seed,
+        served.update(serve_cached(cache, task_names, run))
+    header = {
+        "experiment": experiment.name,
+        "seed": experiment.seed,
+        "shard_index": 0,
+        "shard_count": 1,
+        "n_variants": len(runs),
+    }
+    filename = shard_filename(0, 1)
+    rows = run_checkpointed(
+        experiment, runs, runs, directory, filename, header, on_progress, served
     )
-    return CachedRunOutcome(resultset=resultset, served=served, computed=computed)
+    served_rows = {id(row) for row in served.values()}  # row_key() would hash
+    computed = [result_row_to_dict(row) for row in rows if id(row) not in served_rows]
+    cache.note_misses(len(computed))
+    cache.store_rows(computed)
+    resultset = ResultSet(experiment=experiment.name, rows=rows, seed=experiment.seed)
+    return CachedRunOutcome(resultset, served=len(served), computed=len(computed))

@@ -7,26 +7,26 @@ One :class:`ServiceState` backs every router: the content-keyed
 compute its key without building the scenario system, the
 :class:`~repro.service.jobs.JobStore` ledger under ``data_dir/jobs/``,
 and the :class:`~repro.service.jobs.JobWorker` that executes async
-sweeps through the checkpointed loop shards and resumes run, writing
-append-only shard checkpoints into the job's own directory, with every
-:class:`~repro.experiments.backends.ShardProgress` observation forwarded
-into the job's event stream.  A new job gets a new directory, so it
-dedups against the cache: fully cached units are not recomputed, and a
-fully cached sweep does no engine work.
+sweeps.  Inline requests and jobs share one run function,
+:func:`~repro.service.requests.run_with_cache`; a job passes it the
+job's directory for append-only shard checkpoints and a hook that
+forwards every :class:`~repro.experiments.backends.ShardProgress` into
+the job's event stream.  A new job gets a new directory, so it dedups
+against the cache: fully cached units are not recomputed, and a fully
+cached sweep does no engine work.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Sequence
 
-from ..experiments.backends import ShardProgress, _run_checkpointed, shard_plans
+from ..experiments.backends import ShardProgress
 from ..experiments.design import Experiment
-from ..experiments.results import ResultRow, ResultSet
-from ..experiments.runner import VariantRun
-from ..io.experiments_io import result_row_from_dict, result_row_to_dict
-from ..io.shards import load_checkpoint, shard_filename
+from ..experiments.results import ResultSet
+from ..experiments.runner import VariantRun, plan_runs
+from ..io.shards import load_checkpoint
 from .cache import CACHE_FILENAME, ResultCache
 from .errors import BadRequestError
 from .jobs import JobRecord, JobStore, JobWorker
@@ -35,7 +35,6 @@ from .requests import (
     TaskNameMemo,
     build_experiment,
     run_with_cache,
-    serve_cached,
 )
 
 __all__ = ["ServiceConfig", "ServiceState"]
@@ -48,14 +47,14 @@ class ServiceConfig:
     ``inline_threshold`` is the receiver-round budget (see
     :func:`repro.service.requests.run_cost`) under which a simulate/sweep
     request runs synchronously in the request; anything costlier becomes
-    an async job.  ``persist_cache=False`` keeps the result cache purely
-    in-memory (tests); ``threaded_worker=False`` queues jobs until
-    :meth:`ServiceState.run_pending_jobs` drains them (tests again).
+    an async job.  Both run through the same cached path, and the result
+    cache is always backed by ``data_dir/service-cache.jsonl``.
+    ``threaded_worker=False`` queues jobs until
+    :meth:`ServiceState.run_pending_jobs` drains them (tests).
     """
 
     data_dir: str
     inline_threshold: int = 100_000
-    persist_cache: bool = True
     threaded_worker: bool = True
 
 
@@ -66,8 +65,7 @@ class ServiceState:
         self.config = config
         root = Path(config.data_dir)
         root.mkdir(parents=True, exist_ok=True)
-        cache_path = root / CACHE_FILENAME if config.persist_cache else None
-        self.cache = ResultCache(cache_path)
+        self.cache = ResultCache(root / CACHE_FILENAME)
         self.task_names = TaskNameMemo()
         self.jobs = JobStore(root / "jobs")
         self.worker = JobWorker(
@@ -89,46 +87,26 @@ class ServiceState:
     def _execute_job(self, job_id: str) -> Dict[str, Any]:
         """Run one ledgered sweep; the default :class:`JobWorker` executor.
 
-        Planned once, as one shard: each fully cached work unit is
-        served from the cache (hit-counted, as inline), and the shared
-        checkpointed loop commits those rows to the job's directory and
-        runs the rest.  Only computed rows are miss-counted and stored;
-        ``from_cache`` means no unit was computed.
+        Planned once and run like an inline request
+        (:func:`~repro.service.requests.run_with_cache`), checkpointed
+        into the job's directory with every progress observation in its
+        ledger; ``from_cache`` means no unit was computed.
         """
         record = self.jobs.get(job_id)
         experiment = build_experiment(record.request, default_name=job_id)
-        shard = shard_plans(experiment, 1)[0]
-        served: Dict[Tuple[str, str, str], ResultRow] = {}
-        for run in shard.runs:
-            cached = serve_cached(self.cache, self.task_names, [run])
-            if cached is not None:
-                served.update(
-                    zip(run.expected_rows(), map(result_row_from_dict, cached))
-                )
 
         def on_progress(progress: ShardProgress) -> None:
             self.jobs.mark_progress(job_id, dataclasses.asdict(progress))
 
-        rows = _run_checkpointed(
-            experiment,
-            shard.runs,
-            shard.runs,
-            self.jobs.job_dir(job_id),
-            shard_filename(0, 1),
-            shard.header(),
-            on_progress=on_progress,
-            served=served,
+        runs = plan_runs(experiment)
+        directory = self.jobs.job_dir(job_id)
+        outcome = run_with_cache(
+            self.cache, self.task_names, experiment, runs, directory, on_progress
         )
-        hits = {row.row_key() for row in served.values()}
-        computed = [
-            result_row_to_dict(row) for row in rows if row.row_key() not in hits
-        ]
-        self.cache.note_misses(len(computed))
-        self.cache.store_rows(computed)
         return {
             "experiment": experiment.name,
-            "rows": len(rows),
-            "from_cache": not computed,
+            "rows": len(outcome.resultset.rows),
+            "from_cache": not outcome.computed,
         }
 
     # -- results -----------------------------------------------------------------

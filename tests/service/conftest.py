@@ -20,6 +20,24 @@ from repro.service import ServiceConfig, ServiceState, create_app
 from repro.service.app import ServiceApp
 
 
+#: The fields a served row takes from the request serving it; every other
+#: field is the bytes of the row's first computation.
+REQUEST_LOCAL_FIELDS = ("experiment", "variant", "variant_index")
+
+
+def computed_bytes(row: Dict[str, Any]) -> str:
+    """A row's canonical JSON without its request-local fields."""
+    content = {
+        name: value for name, value in row.items() if name not in REQUEST_LOCAL_FIELDS
+    }
+    return json.dumps(content, sort_keys=True)
+
+
+def request_identity(row: Dict[str, Any]) -> Tuple[Any, ...]:
+    """A row's ``(experiment, variant, variant_index)``."""
+    return tuple(row[name] for name in REQUEST_LOCAL_FIELDS)
+
+
 @pytest.fixture
 def service_state(tmp_path):
     """A service with a tiny inline budget and a manually-drained worker."""

@@ -26,7 +26,7 @@ from repro.service.app import ServiceApp
 from repro.service.cli import build_server
 from repro.systems.scenario import variant_hash
 
-from .conftest import wsgi_call
+from .conftest import computed_bytes, request_identity, wsgi_call
 
 POINT = {
     "scenario": "passwords",
@@ -474,8 +474,10 @@ class TestPoolFanOutBehindTheServer:
             min(3, pool_module.usable_cpus()) if pool_module.can_fan_out() else 1
         )
         assert row["chunk_workers"] == expected_workers
-        # The repeat serves the first computation's bytes, telemetry included.
-        assert canonical(second["rows"][0]) == canonical(row)
+        # The repeat serves the first computation's bytes, telemetry
+        # included, under its own job's identity.
+        assert computed_bytes(second["rows"][0]) == computed_bytes(row)
+        assert request_identity(second["rows"][0]) == (repeat_id, row["variant"], 0)
 
         pool_module.run_groups(list, [None], 1)  # fork before patching the rule
         monkeypatch.setattr(engine_module, "_fan_out", lambda config, chunks: 1)

@@ -162,7 +162,6 @@ class TestCachedJobPath:
         self, app, service_state, monkeypatch
     ):
         import repro.experiments.backends as backends
-        import repro.service.requests as requests
 
         first_id = submit_and_run(app, service_state)
         first = app.handle("GET", f"/results/{first_id}")[1]
@@ -175,7 +174,6 @@ class TestCachedJobPath:
 
         monkeypatch.setattr(backends.ShardBackend, "execute", forbidden)
         monkeypatch.setattr(backends, "run_variant", forbidden_run)
-        monkeypatch.setattr(requests, "run_variant", forbidden_run)
         second_id = submit_and_run(app, service_state)
         record = service_state.jobs.get(second_id)
         assert record.status == "done"

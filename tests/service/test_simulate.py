@@ -16,12 +16,13 @@ import repro.service.requests as service_requests
 import repro.systems.passwords as passwords_module
 from repro.experiments import Experiment, VariantSpec
 from repro.experiments.results import WALL_CLOCK_METRICS
+from repro.experiments.runner import plan_runs
 from repro.io.eventlog import read_events
 from repro.io.experiments_io import resultset_from_dict, resultset_to_dict
-from repro.service import ServiceConfig, ServiceState, create_app
+from repro.service import ServiceConfig, ServiceState, build_experiment, create_app
 from repro.service.cache import CACHE_FILENAME, row_cache_key
 
-from .conftest import wsgi_call
+from .conftest import computed_bytes, request_identity, wsgi_call
 
 
 class TestDispatchThreshold:
@@ -139,7 +140,7 @@ class TestCacheBitIdentity:
         def forbidden(run):
             raise AssertionError("engine work on a fully-cached sweep")
 
-        monkeypatch.setattr(service_requests, "run_variant", forbidden)
+        monkeypatch.setattr(backends_module, "run_variant", forbidden)
         status, second = app.handle("POST", "/sweep", body=dict(body))
         assert status == 200
         assert second["cache"] == {"served": 2, "computed": 0}
@@ -349,6 +350,16 @@ class TestHitsDoNoBinding:
     def _canonical_bytes(payload):
         return json.dumps(payload, sort_keys=True)
 
+    @staticmethod
+    def _planned_identity(state, job_id):
+        """Each planned row's ``(experiment, variant, variant_index)``."""
+        experiment = build_experiment(state.jobs.get(job_id).request, job_id)
+        return [
+            (run.experiment, run.label, run.variant_index)
+            for run in plan_runs(experiment)
+            for _ in run.expected_rows()
+        ]
+
     def _assert_hit(self, app, path, body, first, key, served):
         hits, misses = self._counts(app)
         status, again = wsgi_call(app, "POST", path, body)
@@ -395,13 +406,13 @@ class TestHitsDoNoBinding:
         assert self._counts(app) == (hits + 2, misses)
         status, result = wsgi_call(app, "GET", f"/results/{job_id}")
         assert status == 200
-
-        def by_hash(rows):
-            ordered = sorted(rows, key=lambda row: row["variant_hash"])
-            return [self._canonical_bytes(row) for row in ordered]
-
-        assert by_hash(result["resultset"]["rows"]) == by_hash(
-            first["resultset"]["rows"]
+        rows = result["resultset"]["rows"]
+        # The first computation's bytes, under the job's own identity.
+        assert [computed_bytes(row) for row in rows] == [
+            computed_bytes(row) for row in first["resultset"]["rows"]
+        ]
+        assert [request_identity(row) for row in rows] == self._planned_identity(
+            service_state, job_id
         )
 
     def test_partially_cached_detached_sweep(self, app, service_state, monkeypatch):
@@ -437,10 +448,13 @@ class TestHitsDoNoBinding:
         assert len(rows) == 2
         cached = first["resultset"]["rows"][0]
         assert [
-            self._canonical_bytes(row)
+            computed_bytes(row)
             for row in rows
             if row["variant_hash"] == cached["variant_hash"]
-        ] == [self._canonical_bytes(cached)]
+        ] == [computed_bytes(cached)]
+        assert [request_identity(row) for row in rows] == self._planned_identity(
+            service_state, job_id
+        )
 
     def test_replayed_row_is_a_hit_with_a_cold_memo(self, tmp_path, monkeypatch):
         config = ServiceConfig(
@@ -465,6 +479,103 @@ class TestHitsDoNoBinding:
             self._assert_hit(app, "/simulate", self.BODY, first, "resultset", 1)
         finally:
             restarted.close()
+
+
+class TestServedRowIdentity:
+    """A served row names the request serving it, not the one that computed it."""
+
+    POINT = {"scenario": "passwords", "n_receivers": 200, "seed": 2}
+    GRID = {
+        **POINT,
+        "grid": {"single_sign_on": [False, True]},
+        "seed_strategy": "shared",
+    }
+
+    def _cache_point(self, app):
+        status, first = app.handle(
+            "POST", "/simulate", body={**self.POINT, "params": {"single_sign_on": True}}
+        )
+        assert status == 200 and first["cache"] == {"served": 0, "computed": 1}
+        return first["resultset"]["rows"][0]
+
+    def test_inline_sweep_over_a_simulated_point(self, app):
+        cached = self._cache_point(app)
+        status, swept = app.handle("POST", "/sweep", body=dict(self.GRID))
+        assert status == 200 and swept["cache"] == {"served": 1, "computed": 1}
+        rows = swept["resultset"]["rows"]
+        assert [request_identity(row) for row in rows] == [
+            ("sweep", "single_sign_on=False", 0),
+            ("sweep", "single_sign_on=True", 1),
+        ]
+        assert computed_bytes(rows[1]) == computed_bytes(cached)
+
+    def test_analyze_under_another_name(self, app):
+        body = {"scenario": "passwords", "params": {"single_sign_on": True}}
+        status, mine = app.handle("POST", "/analyze", body={**body, "name": "mine"})
+        assert status == 200 and mine["experiment"] == "mine"
+        status, other = app.handle("POST", "/analyze", body={**body, "name": "other"})
+        assert status == 200 and other["cache"] == {"served": 1, "computed": 0}
+        assert request_identity(other["row"]) == (
+            "other",
+            "passwords[single_sign_on=True]",
+            0,
+        )
+        assert computed_bytes(other["row"]) == computed_bytes(mine["row"])
+
+    def test_detached_sweep_over_a_simulated_point(self, app, service_state):
+        cached = self._cache_point(app)
+        status, submitted = app.handle(
+            "POST", "/sweep", body={**self.GRID, "name": "grid", "detach": True}
+        )
+        assert status == 202
+        assert service_state.run_pending_jobs() == 1
+        job_id = submitted["job"]["job_id"]
+        status, result = app.handle("GET", f"/results/{job_id}")
+        assert status == 200
+        rows = result["resultset"]["rows"]
+        assert [request_identity(row) for row in rows] == [
+            ("grid", "single_sign_on=False", 0),
+            ("grid", "single_sign_on=True", 1),
+        ]
+        assert computed_bytes(rows[1]) == computed_bytes(cached)
+
+
+class TestOneRunPath:
+    """Inline requests and jobs each make one call into the checkpointed loop."""
+
+    COMMON = {"scenario": "passwords", "n_receivers": 20, "seed": 3}
+    REQUESTS = (
+        ("/simulate", {**COMMON, "name": "point"}),
+        ("/sweep", {**COMMON, "grid": {"single_sign_on": [False, True]}, "name": "sso"}),
+        ("/analyze", {"scenario": "passwords", "name": "walk"}),
+        ("/sweep", {**COMMON, "grid": {"rounds": [1, 2]}, "name": "j", "detach": True}),
+    )
+
+    def test_fresh_and_cached_requests_call_the_loop_once(
+        self, app, service_state, monkeypatch
+    ):
+        calls = []
+        original = service_requests.run_checkpointed
+
+        def spy(experiment, *args, **kwargs):
+            calls.append(experiment.name)
+            return original(experiment, *args, **kwargs)
+
+        monkeypatch.setattr(service_requests, "run_checkpointed", spy)
+        for cached in (False, True):  # fresh, then every row from the cache
+            for path, body in self.REQUESTS:
+                del calls[:]
+                status, payload = app.handle("POST", path, body=dict(body))
+                if body.get("detach"):
+                    assert status == 202
+                    assert service_state.run_pending_jobs() == 1
+                    job = service_state.jobs.get(payload["job"]["job_id"])
+                    assert job.status == "done", job.error
+                    assert job.summary["from_cache"] is cached
+                else:
+                    assert status == 200
+                    assert (payload["cache"]["computed"] == 0) is cached
+                assert calls == [body["name"]], path
 
 
 class TestConcurrentInlineRequests:
