@@ -11,7 +11,7 @@ must be *declared* as such, not silently dropped.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from .framework import Diagnostic, Project, Rule, SourceFile, register
 
@@ -105,21 +105,6 @@ def _tuple_constant(
     return None, ()
 
 
-def _parameter_names(fn: ast.FunctionDef) -> Set[str]:
-    """First-argument names of every ``Parameter("name", ...)`` call."""
-    names: Set[str] = set()
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "Parameter"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-        ):
-            names.add(str(node.args[0].value))
-    return names
-
-
 @register
 class ProvenanceCompleteness(Rule):
     """Every identity-bearing knob is serialized, round-tripped, consumed.
@@ -139,9 +124,7 @@ class ProvenanceCompleteness(Rule):
        declared in ``TELEMETRY_ROW_FIELDS`` (telemetry) — never neither,
        and never both;
     4. every ``SIMULATION_PARAMETER_NAMES`` entry appears in the
-       provenance block;
-    5. ``COMMON_PARAMETER_NAMES`` and ``common_parameter_space()``
-       declare exactly the same names.
+       provenance block.
     """
 
     rule_id = "REP003"
@@ -251,34 +234,3 @@ class ProvenanceCompleteness(Rule):
                             "simulation_result_to_dict provenance"
                         ),
                     )
-
-        # 5. COMMON_PARAMETER_NAMES == common_parameter_space()
-        common_file, common_names = _tuple_constant(
-            project, "COMMON_PARAMETER_NAMES"
-        )
-        space = project.find_function("common_parameter_space")
-        if common_file is not None and space is not None:
-            declared = _parameter_names(space[1])
-            for name in common_names:
-                if name not in declared:
-                    yield Diagnostic(
-                        rule=self.rule_id,
-                        path=common_file.rel,
-                        line=1,
-                        col=0,
-                        message=(
-                            f"COMMON_PARAMETER_NAMES entry {name!r} has no "
-                            "Parameter in common_parameter_space()"
-                        ),
-                    )
-            for name in sorted(declared - set(common_names)):
-                yield Diagnostic(
-                    rule=self.rule_id,
-                    path=common_file.rel,
-                    line=1,
-                    col=0,
-                    message=(
-                        f"common_parameter_space() declares {name!r} but "
-                        "COMMON_PARAMETER_NAMES does not list it"
-                    ),
-                )

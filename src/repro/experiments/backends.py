@@ -133,16 +133,6 @@ class ShardPlan:
     n_variants: int
     runs: Tuple[VariantRun, ...]
 
-    def header(self) -> Dict[str, Any]:
-        """The provenance header written into this shard's JSONL file."""
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "shard_index": self.shard_index,
-            "shard_count": self.shard_count,
-            "n_variants": self.n_variants,
-        }
-
 
 def shard_plans(experiment: Experiment, shard_count: int) -> List[ShardPlan]:
     """Deterministically partition an experiment across ``shard_count`` shards.
@@ -155,22 +145,16 @@ def shard_plans(experiment: Experiment, shard_count: int) -> List[ShardPlan]:
         raise ExperimentError(f"shard_count must be >= 1, got {shard_count}")
     runs = plan_runs(experiment)
     return [
-        _shard(experiment, runs, index, shard_count) for index in range(shard_count)
+        ShardPlan(
+            experiment=experiment.name,
+            seed=experiment.seed,
+            shard_index=index,
+            shard_count=shard_count,
+            n_variants=len(runs),
+            runs=tuple(runs[index::shard_count]),
+        )
+        for index in range(shard_count)
     ]
-
-
-def _shard(
-    experiment: Experiment, runs: Sequence[VariantRun], index: int, count: int
-) -> ShardPlan:
-    """Shard ``index`` of ``count`` over an already-planned experiment."""
-    return ShardPlan(
-        experiment=experiment.name,
-        seed=experiment.seed,
-        shard_index=index,
-        shard_count=count,
-        n_variants=len(runs),
-        runs=tuple(runs[index::count]),
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -282,30 +266,41 @@ def _load_completed(
 def run_checkpointed(
     experiment: Experiment,
     plan: Sequence[VariantRun],
-    runs: Sequence[VariantRun],
     directory: Optional[Path],
-    filename: str,
-    header: Mapping[str, Any],
+    shard: Optional[Tuple[int, int]],
     on_progress: Optional[Callable[[ShardProgress], None]] = None,
     served: Optional[Mapping[Tuple[str, str, str], ResultRow]] = None,
 ) -> List[ResultRow]:
-    """Execute the work units ``runs`` (a slice of ``plan``), checkpointed.
+    """Execute one shard of ``plan``, checkpointed; return its rows.
 
+    ``shard`` is the ``(index, count)`` coordinate of the strided slice
+    to run (see :func:`shard_plans`), written to
+    :func:`~repro.io.shards.shard_filename`, or ``None`` for a resume:
+    every unit, written to :data:`~repro.io.shards.RESUME_FILENAME`.
     With a ``directory``, its rows are checked against ``plan`` first
     (:func:`_load_completed`), and rows answered elsewhere (``served``,
-    keyed by the planned row each answers) are committed to
-    ``directory / filename``; without one, nothing is read or written.
-    Variants with every row at hand are served; any other is re-run and
-    only the rows the checkpoint lacks are appended, through one
-    held-open :class:`~repro.io.shards.ShardLogWriter`.  ``on_progress``
-    receives a :class:`ShardProgress` before the first work unit and
-    after each.
+    keyed by the planned row each answers) are committed to this run's
+    file; without one, nothing is read or written.  Variants with every
+    row at hand are served; any other is re-run and only the rows the
+    checkpoint lacks are appended, through one held-open
+    :class:`~repro.io.shards.ShardLogWriter`.  ``on_progress`` receives
+    a :class:`ShardProgress` before the first work unit and after each.
     """
+    index, count = shard or (None, None)
+    runs = plan[index::count]
     completed: Dict[Tuple[str, str, str], ResultRow] = {}
     writer: Optional[ShardLogWriter] = None
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
         completed = _load_completed(load_checkpoint(directory), experiment, plan)
+        header = {
+            "experiment": experiment.name,
+            "seed": experiment.seed,
+            "shard_index": index,
+            "shard_count": count,
+            "n_variants": len(plan),
+        }
+        filename = RESUME_FILENAME if shard is None else shard_filename(*shard)
         writer = ShardLogWriter(directory / filename, header)
     rows: List[ResultRow] = []
     appended = 0
@@ -384,15 +379,11 @@ class ShardBackend:
             )
 
     def execute(self, experiment: Experiment) -> ResultSet:
-        runs = plan_runs(experiment)
-        shard = _shard(experiment, runs, self.shard_index, self.shard_count)
         rows = run_checkpointed(
             experiment,
-            runs,
-            shard.runs,
+            plan_runs(experiment),
             None if self.checkpoint_dir is None else Path(self.checkpoint_dir),
-            shard_filename(self.shard_index, self.shard_count),
-            shard.header(),
+            (self.shard_index, self.shard_count),
             on_progress=self.on_progress,
         )
         return ResultSet(experiment=experiment.name, rows=rows, seed=experiment.seed)
@@ -413,17 +404,7 @@ def resume_experiment(experiment: Experiment, checkpoint_dir: str) -> ResultSet:
         raise ExperimentError(
             f"checkpoint directory {str(directory)!r} does not exist"
         )
-    runs = plan_runs(experiment)
-    header = {
-        "experiment": experiment.name,
-        "seed": experiment.seed,
-        "shard_index": None,
-        "shard_count": None,
-        "n_variants": len(runs),
-    }
-    rows = run_checkpointed(
-        experiment, runs, runs, directory, RESUME_FILENAME, header
-    )
+    rows = run_checkpointed(experiment, plan_runs(experiment), directory, None)
     return ResultSet(experiment=experiment.name, rows=rows, seed=experiment.seed)
 
 

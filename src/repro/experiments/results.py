@@ -27,6 +27,7 @@ run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -121,13 +122,15 @@ class ResultRow:
     def simulated(self) -> bool:
         return self.mode != "analytic"
 
-    @property
+    @functools.cached_property
     def variant_hash(self) -> str:
         """Content hash identifying this row's (scenario, params) point.
 
-        Computed from the row's own provenance, so it stays valid however
-        the row was reassembled (merged shards, loaded checkpoints); the
-        JSON form records it for integrity checking on load.
+        Computed from the row's own provenance, once per row object (a
+        ``dataclasses.replace`` copy hashes its own params), so it stays
+        valid however the row was reassembled (merged shards, loaded
+        checkpoints); the JSON form records it for integrity checking on
+        load.
         """
         return compute_variant_hash(self.scenario, self.params)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
-from ..core.analysis import analyze_system
 from ..simulation.engine import SimulationConfig
 from ..simulation.metrics import SimulationResult
 from ..systems.scenario import get_scenario, variant_hash
@@ -109,8 +108,7 @@ def plan_runs(experiment: Experiment) -> List[VariantRun]:
 
 def resolved_task_name(run: VariantRun) -> str:
     """The task name the rows of a work unit record (binds the variant)."""
-    variant = get_scenario(run.scenario).bind(**dict(run.params))
-    return variant.resolve_task(variant.system(), run.task).name
+    return get_scenario(run.scenario).bind(**dict(run.params)).task(run.task).name
 
 
 def _simulation_metrics(result: SimulationResult) -> Dict[str, float]:
@@ -156,9 +154,8 @@ def run_variant(run: VariantRun) -> List[ResultRow]:
     rows: List[ResultRow] = []
 
     if "analyze" in run.paths:
-        system = variant.system()
-        analysis = analyze_system(system)
-        task_name = variant.resolve_task(system, run.task).name
+        analysis = variant.analyze()
+        task_name = variant.task(run.task).name
         task_analysis = analysis.task_analyses.get(task_name)
         metrics: Dict[str, float] = {
             "mean_success_probability": analysis.mean_success_probability(),

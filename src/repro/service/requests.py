@@ -44,7 +44,6 @@ from ..experiments.design import Experiment, SweepSpec, VariantSpec
 from ..experiments.results import ResultRow, ResultSet
 from ..experiments.runner import VariantRun, resolved_task_name
 from ..io.experiments_io import result_row_from_dict, result_row_to_dict
-from ..io.shards import shard_filename
 from ..systems.scenario import get_scenario
 from .cache import CacheKey, ResultCache, row_cache_key
 from .errors import BadRequestError
@@ -306,19 +305,10 @@ def run_with_cache(
     served: Dict[Tuple[str, str, str], ResultRow] = {}
     for run in runs:
         served.update(serve_cached(cache, task_names, run))
-    header = {
-        "experiment": experiment.name,
-        "seed": experiment.seed,
-        "shard_index": 0,
-        "shard_count": 1,
-        "n_variants": len(runs),
-    }
-    filename = shard_filename(0, 1)
-    rows = run_checkpointed(
-        experiment, runs, runs, directory, filename, header, on_progress, served
-    )
-    served_rows = {id(row) for row in served.values()}  # row_key() would hash
-    computed = [result_row_to_dict(row) for row in rows if id(row) not in served_rows]
+    rows = run_checkpointed(experiment, runs, directory, (0, 1), on_progress, served)
+    computed = [
+        result_row_to_dict(row) for row in rows if row.row_key() not in served
+    ]
     cache.note_misses(len(computed))
     cache.store_rows(computed)
     resultset = ResultSet(experiment=experiment.name, rows=rows, seed=experiment.seed)

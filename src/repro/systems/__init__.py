@@ -37,7 +37,6 @@ from .parameters import (
 )
 from .scenario import (
     Scenario,
-    ScenarioLike,
     ScenarioVariant,
     all_scenarios,
     available_scenarios,
@@ -59,7 +58,6 @@ __all__ = [
     "all_systems",
     "system_descriptions",
     "Scenario",
-    "ScenarioLike",
     "ScenarioVariant",
     "register_scenario",
     "available_scenarios",

@@ -49,7 +49,6 @@ __all__ = [
     "ScenarioComponents",
     "ScenarioBinder",
     "common_parameter_space",
-    "COMMON_PARAMETER_NAMES",
     "SIMULATION_PARAMETER_NAMES",
     "format_params",
     "variant_label",
@@ -234,20 +233,6 @@ class ScenarioComponents:
 
 #: A scenario binder maps fully-resolved custom parameter values to components.
 ScenarioBinder = Callable[[Mapping[str, Any]], ScenarioComponents]
-
-#: Names of the parameters every scenario accepts.
-COMMON_PARAMETER_NAMES = (
-    "training_fraction",
-    "user_noise_std",
-    "intention_multiplier",
-    "capability_multiplier",
-    "rounds",
-    "recovery_rate",
-    "dismiss_weight",
-    "heed_weight",
-    "trace",
-    "rng_mode",
-)
 
 #: The common knobs consumed by the engine (simulation defaults of a bound
 #: variant) rather than by the component build.

@@ -30,9 +30,15 @@ with identical ``analyze()`` / ``simulate()`` entry points plus full
 parameter provenance.  The declarative experiment layer
 (:mod:`repro.experiments`) expands sweep grids into such variants.
 
+A variant's binder runs once per bind: the variant keeps the components
+it built, and its analytic walk and its simulations all read that one
+build.  The registered :class:`Scenario` caches nothing (it is shared
+across the service's threads) and builds from its factories on every
+call.
+
 Every module in :mod:`repro.systems` registers one scenario here;
-third-party systems can call :func:`register_scenario` themselves — any
-object satisfying :class:`ScenarioLike` is accepted.
+third-party systems can call :func:`register_scenario` themselves with a
+:class:`Scenario` of their own.
 """
 
 from __future__ import annotations
@@ -40,16 +46,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    runtime_checkable,
-)
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..core.analysis import SystemAnalysis, analyze_system
 from ..core.exceptions import ModelError
@@ -78,7 +75,6 @@ from .parameters import (
 )
 
 __all__ = [
-    "ScenarioLike",
     "Scenario",
     "ScenarioVariant",
     "register_scenario",
@@ -109,39 +105,24 @@ def variant_hash(scenario_name: str, params: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-@runtime_checkable
-class ScenarioLike(Protocol):
-    """The protocol every registered scenario satisfies."""
-
-    name: str
-    description: str
-
-    def system(self) -> SecureSystem: ...
-
-    def population(self) -> PopulationSpec: ...
-
-    def calibration(self) -> StageCalibration: ...
-
-
 class _ScenarioPaths:
     """The two framework readings, shared by scenarios and bound variants.
 
-    Subclasses provide ``components()`` (one fresh system / population /
-    calibration build) and a ``default_task`` attribute; everything here
-    derives from those.  Single-component accessors go through
-    ``components()`` too, so a bound variant's binder runs exactly once
-    per access however many components the caller needs.
+    Subclasses provide ``components()`` (the system / population /
+    calibration triple) and a ``default_task`` attribute; everything here
+    derives from those.  A bound variant returns the components its
+    binder built once per bind, so every reading of one variant looks at
+    the same system.
     """
 
+    name: str
     default_task: Optional[str]
 
     def components(self) -> ScenarioComponents:  # pragma: no cover - overridden
         raise NotImplementedError
 
     def system(self) -> SecureSystem:
-        system = self.components().system
-        system.validate()
-        return system
+        return self.components().system
 
     def population(self) -> PopulationSpec:
         return self.components().population
@@ -149,14 +130,18 @@ class _ScenarioPaths:
     def calibration(self) -> StageCalibration:
         return self.components().calibration
 
-    def resolve_task(
-        self, system: SecureSystem, name: Optional[str]
-    ) -> HumanSecurityTask:
-        """Resolve a task name (or unique prefix) within one built system.
+    def tasks(self) -> List[HumanSecurityTask]:
+        """The scenario's security-critical tasks."""
+        return self.system().security_critical_tasks()
 
-        Callers that already hold a built system (the runner, the analytic
-        path) use this to avoid rebuilding components just for the name.
+    def task(self, name: Optional[str] = None) -> HumanSecurityTask:
+        """One task by name; defaults to ``default_task`` or the first.
+
+        Exact names win; otherwise a *unique* name prefix is accepted, so
+        experiment specs can say ``task="recall-passwords"`` and match
+        ``recall-passwords[<any policy variant>]``.
         """
+        system = self.system()
         if name is None:
             name = self.default_task
         if name is not None:
@@ -175,19 +160,6 @@ class _ScenarioPaths:
             raise ModelError(f"scenario {self.name!r} has no security-critical tasks")
         return critical[0]
 
-    def tasks(self) -> List[HumanSecurityTask]:
-        """The scenario's security-critical tasks."""
-        return self.system().security_critical_tasks()
-
-    def task(self, name: Optional[str] = None) -> HumanSecurityTask:
-        """One task by name; defaults to ``default_task`` or the first.
-
-        Exact names win; otherwise a *unique* name prefix is accepted, so
-        experiment specs can say ``task="recall-passwords"`` and match
-        ``recall-passwords[<any policy variant>]``.
-        """
-        return self.resolve_task(self.system(), name)
-
     def analyze(self) -> SystemAnalysis:
         """Run the analytic failure-identification walk over the system."""
         return analyze_system(self.system())
@@ -201,14 +173,18 @@ class _ScenarioPaths:
         """
         return {}
 
-    def simulator(self, **config_overrides) -> HumanLoopSimulator:
+    def simulator(self, **config_overrides: Any) -> HumanLoopSimulator:
         """An engine configured with this scenario's calibration and engine
         defaults; explicit ``config_overrides`` win over both."""
-        if "calibration" not in config_overrides:
-            config_overrides["calibration"] = self.calibration()
-        for name, value in self.simulation_defaults().items():
-            config_overrides.setdefault(name, value)
-        return HumanLoopSimulator(SimulationConfig(**config_overrides))
+        return HumanLoopSimulator(
+            SimulationConfig(
+                **{
+                    "calibration": self.calibration(),
+                    **self.simulation_defaults(),
+                    **config_overrides,
+                }
+            )
+        )
 
     def simulate(
         self,
@@ -216,7 +192,7 @@ class _ScenarioPaths:
         seed: int = 0,
         task: Optional[str] = None,
         mode: Optional[str] = None,
-        **config_overrides,
+        **config_overrides: Any,
     ) -> SimulationResult:
         """Simulate the scenario population encountering one task.
 
@@ -226,14 +202,9 @@ class _ScenarioPaths:
         decision-stream source (explicit overrides win over a bound
         variant's knobs).
         """
-        components = self.components()
-        components.system.validate()
-        simulator = self.simulator(
-            **{"calibration": components.calibration, **config_overrides}
-        )
-        return simulator.simulate_task(
-            self.resolve_task(components.system, task),
-            components.population,
+        return self.simulator(**config_overrides).simulate_task(
+            self.task(task),
+            self.population(),
             n_receivers=n_receivers,
             seed=seed,
             mode=mode,
@@ -247,6 +218,8 @@ class Scenario(_ScenarioPaths):
     ``parameters`` declares the scenario's own typed knobs and ``binder``
     maps resolved values of those knobs to concrete components; scenarios
     without a binder still accept the common parameters via :meth:`bind`.
+    A registered scenario is shared across threads, so it caches nothing:
+    every accessor calls its factory afresh.
     """
 
     name: str
@@ -274,10 +247,21 @@ class Scenario(_ScenarioPaths):
 
     def components(self) -> ScenarioComponents:
         return ScenarioComponents(
-            system=self.system_factory(),
-            population=self.population_factory(),
-            calibration=self.calibration_factory(),
+            system=self.system(),
+            population=self.population(),
+            calibration=self.calibration(),
         )
+
+    def system(self) -> SecureSystem:
+        system = self.system_factory()
+        system.validate()
+        return system
+
+    def population(self) -> PopulationSpec:
+        return self.population_factory()
+
+    def calibration(self) -> StageCalibration:
+        return self.calibration_factory()
 
     # -- parameter binding -------------------------------------------------------
 
@@ -296,54 +280,46 @@ class Scenario(_ScenarioPaths):
         parameters flow through the scenario's binder, the common ones are
         applied to whatever population / calibration results.  Binding with
         no overrides reproduces the base scenario's components exactly.
+        The components are built and validated here, once: the binder may
+        still reject a combination every value of which passed (e.g.
+        activeness on no_warning), and the variant keeps what it built.
         """
-        space = self.parameter_space()
-        validated = space.validate(overrides)
+        validated = self.parameter_space().validate(overrides)
         custom = {name: value for name, value in validated.items() if name in self.parameters}
         common = {name: value for name, value in validated.items() if name not in self.parameters}
 
         if self.binder is not None:
-            values = self.parameters.resolve(custom)
-            binder = self.binder
-            base_components: Callable[[], ScenarioComponents] = lambda: binder(values)
+            built = self.binder(self.parameters.resolve(custom))
         elif custom:  # pragma: no cover - custom params imply a binder
             raise ModelError(
                 f"scenario {self.name!r} declares parameters but no binder"
             )
         else:
-            base_components = self.components
+            built = self.components()
+        built.system.validate()
 
-        training_fraction = common.get("training_fraction")
+        population = built.population
+        if common.get("training_fraction") is not None:
+            population = dataclasses.replace(
+                population, training_fraction=common["training_fraction"]
+            )
         calibration_updates = {
             name: common[name]
             for name in ("user_noise_std", "intention_multiplier", "capability_multiplier")
             if common.get(name) is not None
         }
-
-        def components_factory() -> ScenarioComponents:
-            components = base_components()
-            population = components.population
-            calibration = components.calibration
-            if training_fraction is not None:
-                population = dataclasses.replace(
-                    population, training_fraction=training_fraction
-                )
-            if calibration_updates:
-                calibration = dataclasses.replace(calibration, **calibration_updates)
-            return ScenarioComponents(
-                system=components.system, population=population, calibration=calibration
-            )
-
-        # Fail fast: per-value validation passed, but the binder may still
-        # reject the combination (e.g. activeness on no_warning).
-        components_factory()
+        calibration = built.calibration
+        if calibration_updates:
+            calibration = dataclasses.replace(calibration, **calibration_updates)
 
         return ScenarioVariant(
             name=variant_label(self.name, validated),
             description=self.description,
             base=self,
             params=dict(validated),
-            components_factory=components_factory,
+            built=ScenarioComponents(
+                system=built.system, population=population, calibration=calibration
+            ),
             default_task=self.default_task,
         )
 
@@ -352,10 +328,12 @@ class Scenario(_ScenarioPaths):
 class ScenarioVariant(_ScenarioPaths):
     """A scenario bound to concrete parameter values.
 
-    Satisfies :class:`ScenarioLike` (and offers the same ``analyze()`` /
-    ``simulate()`` paths as :class:`Scenario`) while carrying full
-    provenance: the base scenario and the validated overrides that produced
-    it.  Variants are not registered; re-binding goes through the base, so
+    Offers the same ``analyze()`` / ``simulate()`` paths as
+    :class:`Scenario` over the components :meth:`Scenario.bind` built
+    (``built``, read and never mutated by every path, so one variant may
+    serve several threads), while carrying full provenance: the base
+    scenario and the validated overrides that produced it.  Variants are
+    not registered; re-binding goes through the base, so
     ``variant.bind(x=1)`` layers on top of the existing overrides.
     """
 
@@ -363,11 +341,11 @@ class ScenarioVariant(_ScenarioPaths):
     description: str
     base: Scenario
     params: Mapping[str, Any]
-    components_factory: Callable[[], ScenarioComponents]
+    built: ScenarioComponents = dataclasses.field(repr=False, compare=False)
     default_task: Optional[str] = None
 
     def components(self) -> ScenarioComponents:
-        return self.components_factory()
+        return self.built
 
     def simulation_defaults(self) -> Dict[str, Any]:
         return {
@@ -388,13 +366,13 @@ class ScenarioVariant(_ScenarioPaths):
         return self.base.bind(**merged)
 
 
-_SCENARIOS: Dict[str, ScenarioLike] = {}
+_SCENARIOS: Dict[str, Scenario] = {}
 
 
-def register_scenario(scenario: ScenarioLike) -> ScenarioLike:
+def register_scenario(scenario: Scenario) -> Scenario:
     """Register a scenario under its name (unique across the registry)."""
-    if not isinstance(scenario, ScenarioLike):
-        raise ModelError(f"object {scenario!r} does not satisfy the Scenario protocol")
+    if not isinstance(scenario, Scenario):
+        raise ModelError(f"object {scenario!r} is not a Scenario")
     if scenario.name in _SCENARIOS:
         raise ModelError(f"scenario {scenario.name!r} already registered")
     _SCENARIOS[scenario.name] = scenario
@@ -406,7 +384,7 @@ def available_scenarios() -> List[str]:
     return sorted(_SCENARIOS)
 
 
-def get_scenario(name: str) -> ScenarioLike:
+def get_scenario(name: str) -> Scenario:
     """Look up a registered scenario by name."""
     if name not in _SCENARIOS:
         raise ModelError(
@@ -416,7 +394,7 @@ def get_scenario(name: str) -> ScenarioLike:
     return _SCENARIOS[name]
 
 
-def all_scenarios() -> Dict[str, ScenarioLike]:
+def all_scenarios() -> Dict[str, Scenario]:
     """Every registered scenario, keyed by name."""
     return dict(_SCENARIOS)
 

@@ -4,8 +4,7 @@
   in ``NON_PROVENANCE_CONFIG_FIELDS``;
 * ``ResultRow.rounds`` is dropped by both sides of the JSON round-trip
   and is neither consumed by ``reproduce_row`` nor declared telemetry;
-* ``SIMULATION_PARAMETER_NAMES`` has an entry missing from provenance;
-* ``COMMON_PARAMETER_NAMES`` disagrees with ``common_parameter_space``.
+* ``SIMULATION_PARAMETER_NAMES`` has an entry missing from provenance.
 """
 
 import dataclasses
@@ -13,7 +12,6 @@ import dataclasses
 NON_PROVENANCE_CONFIG_FIELDS = ("attacker",)
 SIMULATION_PARAMETER_NAMES = ("rounds", "ghost_param")
 TELEMETRY_ROW_FIELDS = ()
-COMMON_PARAMETER_NAMES = ("rounds", "missing_param")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,16 +55,3 @@ def result_row_from_dict(payload):
 
 def reproduce_row(row, simulate):
     return simulate(seed=row.seed, mode=row.mode)
-
-
-class Parameter:
-    def __init__(self, name, kind):
-        self.name = name
-        self.kind = kind
-
-
-def common_parameter_space():
-    return (
-        Parameter("rounds", int),
-        Parameter("undeclared_param", int),
-    )

@@ -10,7 +10,6 @@ import dataclasses
 NON_PROVENANCE_CONFIG_FIELDS = ("attacker",)
 SIMULATION_PARAMETER_NAMES = ("rounds", "chunk_workers")
 TELEMETRY_ROW_FIELDS = ("chunk_workers",)
-COMMON_PARAMETER_NAMES = ("rounds", "chunk_workers")
 WALL_CLOCK_METRICS = ("perf:elapsed_seconds",)
 
 
@@ -57,16 +56,3 @@ def result_row_from_dict(payload):
 
 def reproduce_row(row, simulate):
     return simulate(seed=row.seed, mode=row.mode)
-
-
-class Parameter:
-    def __init__(self, name, kind):
-        self.name = name
-        self.kind = kind
-
-
-def common_parameter_space():
-    return (
-        Parameter("rounds", int),
-        Parameter("chunk_workers", int),
-    )

@@ -26,7 +26,7 @@ from repro.experiments import (
 )
 from repro.experiments import ShardProgress
 from repro.experiments import backends as backends_module
-from repro.io import load_checkpoint, shard_filename
+from repro.io import load_checkpoint, read_shard, shard_filename
 
 SEED = 20260726
 
@@ -108,9 +108,9 @@ class TestShardPlans:
             for run in plan.runs:
                 assert run.seed == experiment.variant_seed(run.variant_index)
 
-    def test_plan_header_carries_provenance(self, experiment):
-        plan = shard_plans(experiment, 2)[1]
-        header = plan.header()
+    def test_plan_header_carries_provenance(self, experiment, tmp_path):
+        experiment.run(backend=ShardBackend(1, 2, checkpoint_dir=str(tmp_path)))
+        header, _ = read_shard(tmp_path / shard_filename(1, 2))
         assert header["experiment"] == "backend-test"
         assert header["seed"] == SEED
         assert (header["shard_index"], header["shard_count"]) == (1, 2)
@@ -561,3 +561,31 @@ class TestRowIdentity:
         row = serial.rows[0]
         variant = get_scenario(row.scenario).bind(**dict(row.params))
         assert variant.variant_hash() == row.variant_hash
+
+    def test_replaced_row_hashes_its_own_params(self, serial):
+        row = serial.rows[0]
+        moved = dataclasses.replace(row, params={**row.params, "distinct_accounts": 99})
+        assert row.variant_hash == serial.rows[0].variant_hash
+        assert moved.variant_hash != row.variant_hash
+        assert moved.row_key()[1] == moved.variant_hash
+
+    def test_checkpointed_run_hashes_each_computed_row_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import results as results_module
+        from repro.experiments.runner import plan_runs
+
+        calls = []
+        original = results_module.compute_variant_hash
+
+        def spy(scenario, params):
+            calls.append(scenario)
+            return original(scenario, params)
+
+        monkeypatch.setattr(results_module, "compute_variant_hash", spy)
+        experiment = _experiment(n_receivers=40, paths=("analyze", "simulate"))
+        rows = backends_module.run_checkpointed(
+            experiment, plan_runs(experiment), tmp_path, (0, 1)
+        )
+        assert len(rows) == 12
+        assert len(calls) == len(rows)

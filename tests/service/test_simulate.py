@@ -578,6 +578,30 @@ class TestOneRunPath:
                 assert calls == [body["name"]], path
 
 
+class TestRowHashedOnce:
+    """A served row hashes its params once, on load, and never again."""
+
+    def test_served_simulate_hit_hashes_its_row_once(self, app, monkeypatch):
+        from repro.experiments import results as results_module
+
+        calls = []
+        original = results_module.compute_variant_hash
+
+        def spy(scenario, params):
+            calls.append(scenario)
+            return original(scenario, params)
+
+        monkeypatch.setattr(results_module, "compute_variant_hash", spy)
+        body = {"scenario": "passwords", "params": {"single_sign_on": True},
+                "n_receivers": 20, "seed": 3}
+        status, payload = app.handle("POST", "/simulate", body=dict(body))
+        assert (status, payload["cache"]) == (200, {"served": 0, "computed": 1})
+        del calls[:]
+        status, payload = app.handle("POST", "/simulate", body=dict(body))
+        assert (status, payload["cache"]) == (200, {"served": 1, "computed": 0})
+        assert calls == ["passwords"]
+
+
 class TestConcurrentInlineRequests:
     """Threaded clients get, and cache, exactly the serial bits."""
 

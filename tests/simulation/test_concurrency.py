@@ -8,6 +8,7 @@ each reproduce the serial tallies and funnels exactly.
 """
 
 import concurrent.futures
+import copy
 import dataclasses
 import json
 import threading
@@ -90,3 +91,34 @@ def test_one_shared_simulator_equals_serial(scenario, serial):
     threaded = _threaded(scenario, lambda: shared)
     wrong = [seed for seed in SEEDS if threaded[seed] != serial[seed]]
     assert wrong == []
+
+
+def test_one_bound_variant_serves_every_thread():
+    """A bound variant keeps the components it built and shares them.
+
+    Two serial ``simulate`` calls and four threads at once, all on one
+    variant, must equal freshly bound variants seed for seed, and the
+    shared components must come out exactly as they went in.
+    """
+    scenario = get_scenario("antiphishing")
+    params = {"activeness": 0.5, "training_fraction": 0.3, "rounds": ROUNDS}
+    shared = scenario.bind(**params)
+    built = shared.components()
+    before = copy.deepcopy(built)
+
+    def run(variant, seed):
+        return canonical(variant.simulate(N, seed=seed, batch_size=BATCH_SIZE))
+
+    fresh = {seed: run(scenario.bind(**params), seed) for seed in SEEDS}
+    assert [run(shared, SEEDS[0]), run(shared, SEEDS[1])] == [
+        fresh[SEEDS[0]],
+        fresh[SEEDS[1]],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with concurrent.futures.ThreadPoolExecutor(THREADS) as pool:
+            threaded = dict(zip(SEEDS, pool.map(lambda seed: run(shared, seed), SEEDS)))
+    wrong = [seed for seed in SEEDS if threaded[seed] != fresh[seed]]
+    assert wrong == []
+    assert shared.components() is built
+    assert built == before

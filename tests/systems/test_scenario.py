@@ -7,9 +7,11 @@ from repro.core.exceptions import ModelError
 from repro.simulation.calibration import StageCalibration
 from repro.simulation.metrics import SimulationResult
 from repro.simulation.population import PopulationSpec, general_web_population
+from repro.experiments import Experiment, VariantSpec, plan_runs, reproduce_row
+from repro.experiments.runner import resolved_task_name, run_variant
 from repro.systems import (
     Scenario,
-    ScenarioLike,
+    ScenarioVariant,
     all_scenarios,
     available_scenarios,
     available_systems,
@@ -34,7 +36,12 @@ class TestRegistry:
 
     def test_registered_objects_satisfy_protocol(self):
         for scenario in all_scenarios().values():
-            assert isinstance(scenario, ScenarioLike)
+            assert isinstance(scenario, Scenario)
+
+    def test_only_scenarios_register(self):
+        with pytest.raises(ModelError, match="is not a Scenario"):
+            register_scenario(get_scenario("antiphishing").bind())
+        assert "antiphishing" in _SCENARIOS
 
     def test_custom_scenario_roundtrip(self, warning_task):
         from repro.core.task import SecureSystem
@@ -174,8 +181,10 @@ class TestParameterizedScenarios:
         assert layered.population().training_fraction == 0.9
 
     def test_variant_satisfies_scenario_protocol(self):
-        variant = get_scenario("antiphishing").bind(activeness=0.5)
-        assert isinstance(variant, ScenarioLike)
+        scenario = get_scenario("antiphishing")
+        variant = scenario.bind(activeness=0.5)
+        assert isinstance(variant, ScenarioVariant)
+        assert variant.base is scenario
 
     def test_bound_variant_batch_reference_equivalence(self):
         """Parameterized variants keep the exact batch/reference agreement."""
@@ -202,3 +211,72 @@ class TestParameterizedScenarios:
             scenario.bind(variant="no_warning", prior_exposures=30)
         bare = scenario.bind(variant="no_warning")
         assert bare.task().communication is None
+
+
+class TestOneBuildPerBind:
+    """A bound variant builds its system once, in ``bind``; every reading
+    path (analytic walk, task lookup, simulation, reproduction) reuses it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.systems import passwords
+
+        calls = []
+        original = passwords.build_system_for
+
+        def spy(policy):
+            calls.append(policy.name)
+            return original(policy)
+
+        monkeypatch.setattr(passwords, "build_system_for", spy)
+        return calls
+
+    @staticmethod
+    def _run(paths):
+        experiment = Experiment(
+            name="one-build",
+            variants=(VariantSpec("passwords", {"single_sign_on": True}),),
+            n_receivers=100,
+            seed=4,
+            paths=paths,
+            task="recall-passwords",
+        )
+        (run,) = plan_runs(experiment)
+        return run
+
+    def test_bind_then_simulate_builds_once(self, builds):
+        get_scenario("passwords").bind(single_sign_on=True).simulate(100, seed=1)
+        assert len(builds) == 1
+
+    def test_every_reading_of_one_variant_shares_the_build(self, builds):
+        variant = get_scenario("passwords").bind(single_sign_on=True)
+        assert variant.system() is variant.system()
+        assert variant.task("recall-passwords") in variant.system().tasks
+        assert variant.components().population is variant.population()
+        variant.analyze()
+        variant.tasks()
+        variant.simulate(100, seed=1, task="recall-passwords")
+        variant.simulate(100, seed=2, mode="reference")
+        assert len(builds) == 1
+
+    def test_run_variant_with_both_paths_builds_once(self, builds):
+        rows = run_variant(self._run(("analyze", "simulate")))
+        assert [row.mode for row in rows] == ["analytic", "batch"]
+        assert len(builds) == 1
+
+    def test_resolved_task_name_builds_once(self, builds):
+        name = resolved_task_name(self._run(("simulate",)))
+        assert name.startswith("recall-passwords[")
+        assert len(builds) == 1
+
+    def test_reproduce_row_builds_once(self, builds):
+        (row,) = run_variant(self._run(("simulate",)))
+        builds.clear()
+        summary = reproduce_row(row).summary()
+        assert len(builds) == 1
+        assert summary == {name: row.metrics[name] for name in summary}
+
+    def test_registered_scenario_builds_afresh(self, builds):
+        scenario = get_scenario("passwords")
+        assert scenario.system() is not scenario.system()
+        assert len(builds) == 2
