@@ -463,7 +463,6 @@ def test_scheduler_floor():
 
     from repro.cluster import (
         FaultInjector,
-        LocalProcessFleet,
         ShardScheduler,
         read_scheduler_events,
     )
@@ -484,7 +483,7 @@ def test_scheduler_floor():
             experiment,
             shard_count=4,
             checkpoint_dir=checkpoint_dir,
-            transport=LocalProcessFleet(max_workers=2),
+            max_workers=2,
             heartbeat_timeout=120.0,
             poll_interval=0.02,
             backoff_base=0.05,

@@ -1,10 +1,10 @@
 """Benchmark: the cluster scheduler's fleet throughput and overhead.
 
 Expands an 8-variant password-policy grid, runs it once serially, then
-dispatches it as 4 shards over a 2-worker :class:`LocalProcessFleet`
-through :class:`ShardScheduler` — the full coordination stack: process
-launch, heartbeat streams, event log, checkpoint merge.  Three numbers
-go to ``BENCH_scheduler.json`` at the repository root:
+dispatches it as 4 shards on at most 2 :class:`LocalProcessFleet`
+processes through :class:`ShardScheduler` — the full coordination
+stack: process launch, heartbeat streams, event log, checkpoint merge.
+Three numbers go to ``BENCH_scheduler.json`` at the repository root:
 
 * **fleet throughput** — receivers/s through the scheduled fleet,
   end to end (the number the floor check guards);
@@ -43,7 +43,6 @@ from typing import Dict
 
 from repro.cluster import (
     FaultInjector,
-    LocalProcessFleet,
     ShardScheduler,
     read_scheduler_events,
 )
@@ -73,7 +72,7 @@ def _experiment(name: str = "password-scheduler-bench") -> Experiment:
 def _scheduler(experiment: Experiment, checkpoint_dir: str, **overrides):
     kwargs = dict(
         shard_count=SHARD_COUNT,
-        transport=LocalProcessFleet(max_workers=MAX_WORKERS),
+        max_workers=MAX_WORKERS,
         heartbeat_timeout=120.0,
         poll_interval=0.02,
         backoff_base=0.05,

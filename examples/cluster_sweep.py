@@ -9,8 +9,9 @@ workers, watch their heartbeats, notice a death, and retry.
 1. declare a password-policy grid and the experiment,
 2. run it serially once — the correctness anchor every scheduled run
    must match bit for bit (modulo wall-clock telemetry),
-3. schedule the grid as 4 shards over a 2-process
-   :class:`LocalProcessFleet`, with a deterministic
+3. schedule the grid as 4 shards on at most 2 local worker processes
+   (``ShardScheduler(max_workers=2)`` over its default
+   :class:`LocalProcessFleet`), with a deterministic
    :class:`FaultInjector` armed to hard-kill the shard-1 worker right
    after its first committed row (leaving the torn shard-log line a
    real crash would leave),
@@ -43,7 +44,6 @@ from pathlib import Path
 from repro.cluster import (
     FAULT_KILL_EXIT_CODE,
     FaultInjector,
-    LocalProcessFleet,
     ShardScheduler,
     read_scheduler_events,
 )
@@ -88,7 +88,7 @@ def main() -> None:
             experiment,
             shard_count=SHARD_COUNT,
             checkpoint_dir=str(checkpoint_dir),
-            transport=LocalProcessFleet(max_workers=MAX_WORKERS),
+            max_workers=MAX_WORKERS,
             backoff_base=0.1,
             backoff_cap=1.0,
             fault_injector=FaultInjector(shards=(1,), kill_after_rows=1),

@@ -12,10 +12,9 @@ deterministic jitter, and auto-merges the shard logs into the canonical
 of the same experiment, no matter how many workers crashed along the
 way.
 
->>> from repro.cluster import ShardScheduler, LocalProcessFleet
+>>> from repro.cluster import ShardScheduler
 >>> scheduler = ShardScheduler(
-...     experiment, shard_count=4, checkpoint_dir="ckpt",
-...     transport=LocalProcessFleet(max_workers=2),
+...     experiment, shard_count=4, checkpoint_dir="ckpt", max_workers=2,
 ... )
 >>> merged = scheduler.run()     # survives worker death; merged == serial
 

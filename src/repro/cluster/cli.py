@@ -32,7 +32,6 @@ from ..experiments.design import Experiment, SweepSpec
 from .faults import FaultInjector
 from .events import read_scheduler_events
 from .scheduler import ShardScheduler
-from .transports import LocalProcessFleet
 
 __all__ = ["main", "build_parser"]
 
@@ -161,7 +160,7 @@ def _run(args: argparse.Namespace) -> int:
         experiment,
         shard_count=args.shards,
         checkpoint_dir=args.checkpoint_dir,
-        transport=LocalProcessFleet(max_workers=args.workers),
+        max_workers=args.workers,
         heartbeat_timeout=args.heartbeat_timeout,
         poll_interval=args.poll_interval,
         max_attempts=args.max_attempts,

@@ -34,7 +34,6 @@ is unit-testable against a fake clock with a scripted fake transport.
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
@@ -42,9 +41,11 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from ..core.exceptions import ClusterError
-from ..experiments.backends import resume_experiment, shard_plans
+from ..experiments.backends import resume_experiment, shard_slice
 from ..experiments.design import Experiment
 from ..experiments.results import ResultSet
+from ..experiments.runner import plan_runs
+from ..simulation.pool import usable_cpus
 from .events import SchedulerEventLog, scheduler_events_path
 from .faults import FaultInjector
 from .transports import LocalProcessFleet, ShardAssignment, WorkerTransport
@@ -118,8 +119,8 @@ class ShardScheduler:
         The :class:`WorkerTransport` that actually runs assignments;
         default — a :class:`LocalProcessFleet`.
     max_workers:
-        Concurrent worker cap; default — the transport's ``max_workers``
-        if it declares one, else the machine's core count.
+        Concurrent worker cap, the one cap on the fleet; default — the
+        usable CPUs (:func:`repro.simulation.pool.usable_cpus`).
     heartbeat_timeout:
         Seconds without observed progress (a fresh heartbeat with a
         higher committed-row count) before a worker is declared hung,
@@ -174,14 +175,11 @@ class ShardScheduler:
         self.shard_count = shard_count
         self.checkpoint_dir = Path(checkpoint_dir)
         self.transport = transport if transport is not None else LocalProcessFleet()
-        resolved = max_workers
-        if resolved is None:
-            resolved = getattr(self.transport, "max_workers", None)
-        if resolved is None:
-            resolved = os.cpu_count() or 1
-        if resolved < 1:
-            raise ClusterError(f"max_workers must be >= 1, got {resolved}")
-        self.max_workers = resolved
+        if max_workers is None:
+            max_workers = usable_cpus()
+        if max_workers < 1:
+            raise ClusterError(f"max_workers must be >= 1, got {max_workers}")
+        self.max_workers = max_workers
         self.heartbeat_timeout = heartbeat_timeout
         self.poll_interval = poll_interval
         self.backoff_base = backoff_base
@@ -198,23 +196,23 @@ class ShardScheduler:
     def run(self) -> ResultSet:
         """Dispatch every shard to completion, then merge and return the
         canonical result set."""
-        # Validates experiment/shard_count eagerly (and documents the
-        # partition in the event log's queued records).
-        plans = shard_plans(self.experiment, self.shard_count)
+        # Plans once up front, so a bad experiment fails before any
+        # worker launches; the queued records document the partition.
+        runs = plan_runs(self.experiment)
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         events = SchedulerEventLog(self.checkpoint_dir, clock=self._clock)
         pending: List[_QueuedShard] = []
         running: List[_RunningShard] = []
         try:
             now = self._clock()
-            for plan in plans:
-                pending.append(_QueuedShard(plan.shard_index, attempt=1, ready_at=now))
+            for index in range(self.shard_count):
+                pending.append(_QueuedShard(index, attempt=1, ready_at=now))
                 events.emit(
                     "queued",
-                    shard=plan.shard_index,
+                    shard=index,
                     attempt=1,
                     delay=0.0,
-                    n_work_units=len(plan.runs),
+                    n_work_units=len(runs[shard_slice(index, self.shard_count)]),
                 )
             while pending or running:
                 self._launch_ready(pending, running, events)

@@ -6,9 +6,12 @@ talks to any object satisfying the small :class:`WorkerTransport` /
 jobs, a cloud batch API) can slot in later without touching the
 scheduling logic.  The first — and reference — transport is
 :class:`LocalProcessFleet`: each shard runs as one OS process executing
-``ShardBackend(shard_index, shard_count, checkpoint_dir)``, emitting a
-heartbeat line (rows committed so far) to an append-only stream in the
-checkpoint directory after every variant.
+:func:`run_assignment`, which runs the shard through the experiments
+layer's checkpointed loop
+(:func:`~repro.experiments.backends.run_checkpointed`) and appends a
+heartbeat line (rows committed so far) to a stream in the checkpoint
+directory after every variant.  The scheduler's ``max_workers`` caps
+how many run at once.
 
 Liveness is *observed progress*, not trust: the scheduler polls the
 heartbeat stream and the process exit code; a worker that dies (or goes
@@ -24,10 +27,11 @@ import dataclasses
 import multiprocessing
 import os
 from pathlib import Path
-from typing import Any, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
-from ..experiments.backends import ShardBackend, ShardProgress
+from ..experiments.backends import ShardProgress, run_checkpointed
 from ..experiments.design import Experiment
+from ..experiments.runner import plan_runs
 from ..io.eventlog import EventLogWriter, last_event
 from ..io.shards import shard_filename
 from .faults import FaultInjector
@@ -135,14 +139,15 @@ def run_assignment(assignment: ShardAssignment) -> None:
             }
         )
 
-    backend = ShardBackend(
-        shard_index=assignment.shard_index,
-        shard_count=assignment.shard_count,
-        checkpoint_dir=assignment.checkpoint_dir,
-        on_progress=on_progress,
-    )
+    experiment = assignment.experiment
     try:
-        backend.execute(assignment.experiment)
+        run_checkpointed(
+            experiment,
+            plan_runs(experiment),
+            Path(assignment.checkpoint_dir),
+            (assignment.shard_index, assignment.shard_count),
+            on_progress,
+        )
     finally:
         heartbeat.close()
     if armed:
@@ -175,19 +180,11 @@ class LocalWorkerHandle:
 
 @dataclasses.dataclass
 class LocalProcessFleet:
-    """Run shard workers as local OS processes.
+    """Run shard workers as local OS processes, one per launch.
 
-    ``max_workers`` is the fleet's concurrency capacity (``None`` — the
-    machine's core count); the scheduler consults it when it has no
-    explicit cap of its own.  Workers start with the platform's default
-    multiprocessing start method.
+    Workers start with the platform's default multiprocessing start
+    method.
     """
-
-    max_workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
 
     def launch(self, assignment: ShardAssignment) -> LocalWorkerHandle:
         process = multiprocessing.Process(

@@ -24,9 +24,13 @@ and a grid can be split across hosts with one
 >>> host_b = experiment.run(backend=ShardBackend(1, 2, checkpoint_dir="ckpt"))
 >>> merged = ResultSet.merge(host_a, host_b)   # == the serial run, bit for bit
 
-— with append-only JSONL checkpoints (:mod:`repro.io.shards`) that
+— shard ``k`` of ``n`` runs variant indices ``k, k + n, ...``
+(:func:`~repro.experiments.backends.shard_slice`), with append-only
+JSONL checkpoints (:mod:`repro.io.shards`) that
 ``experiment.resume("ckpt")`` completes after an interruption without
-recomputing finished rows.
+recomputing finished rows.  Shards, resumes, cluster workers
+(:mod:`repro.cluster`) and service requests all run through one
+checkpointed loop, :func:`~repro.experiments.backends.run_checkpointed`.
 
 Layering:
 
@@ -48,11 +52,9 @@ from .backends import (
     ProcessBackend,
     SerialBackend,
     ShardBackend,
-    ShardPlan,
     ShardProgress,
     resolve_backend,
     resume_experiment,
-    shard_plans,
 )
 from .design import (
     EXPERIMENT_PATHS,
@@ -91,9 +93,7 @@ __all__ = [
     "SerialBackend",
     "ProcessBackend",
     "ShardBackend",
-    "ShardPlan",
     "ShardProgress",
-    "shard_plans",
     "resolve_backend",
     "resume_experiment",
 ]

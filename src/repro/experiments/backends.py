@@ -63,9 +63,8 @@ __all__ = [
     "SerialBackend",
     "ProcessBackend",
     "ShardBackend",
-    "ShardPlan",
     "ShardProgress",
-    "shard_plans",
+    "shard_slice",
     "resolve_backend",
     "resume_experiment",
     "run_checkpointed",
@@ -122,47 +121,27 @@ class ProcessBackend:
         return ResultSet(experiment=experiment.name, rows=rows, seed=experiment.seed)
 
 
-@dataclasses.dataclass(frozen=True)
-class ShardPlan:
-    """One shard's deterministic slice of an experiment's work units."""
+def shard_slice(index: int, count: int) -> slice:
+    """The strided slice of a plan that shard ``index`` of ``count`` runs.
 
-    experiment: str
-    seed: int
-    shard_index: int
-    shard_count: int
-    n_variants: int
-    runs: Tuple[VariantRun, ...]
-
-
-def shard_plans(experiment: Experiment, shard_count: int) -> List[ShardPlan]:
-    """Deterministically partition an experiment across ``shard_count`` shards.
-
-    Shard ``k`` takes variant indices ``k, k + shard_count, ...`` — a
-    strided partition, so shard sizes differ by at most one and every
-    work unit keeps the seed it would have under a serial run.
+    Shard ``k`` takes variant indices ``k, k + count, ...``, so shard
+    sizes differ by at most one and every work unit keeps the seed it
+    would have under a serial run.  Raises :class:`ExperimentError`
+    unless ``count >= 1`` and ``0 <= index < count``.
     """
-    if shard_count < 1:
-        raise ExperimentError(f"shard_count must be >= 1, got {shard_count}")
-    runs = plan_runs(experiment)
-    return [
-        ShardPlan(
-            experiment=experiment.name,
-            seed=experiment.seed,
-            shard_index=index,
-            shard_count=shard_count,
-            n_variants=len(runs),
-            runs=tuple(runs[index::shard_count]),
-        )
-        for index in range(shard_count)
-    ]
+    if count < 1:
+        raise ExperimentError(f"shard_count must be >= 1, got {count}")
+    if not 0 <= index < count:
+        raise ExperimentError(f"shard_index must be in [0, {count}), got {index}")
+    return slice(index, None, count)
 
 
 @dataclasses.dataclass(frozen=True)
 class ShardProgress:
     """One progress observation of a checkpointed run, per work unit.
 
-    Emitted by the checkpointed loop (through the ``on_progress`` hook
-    of :class:`ShardBackend`, and into a service job's event stream)
+    Emitted by :func:`run_checkpointed` to its ``on_progress`` hook (a
+    cluster worker's heartbeat stream, a service job's event stream)
     once before the first work unit and again after each one completes.
     ``rows_committed`` counts every row of this invocation's slice known
     to be durable (served plus freshly appended) — the monotone signal
@@ -274,7 +253,7 @@ def run_checkpointed(
     """Execute one shard of ``plan``, checkpointed; return its rows.
 
     ``shard`` is the ``(index, count)`` coordinate of the strided slice
-    to run (see :func:`shard_plans`), written to
+    to run (see :func:`shard_slice`), written to
     :func:`~repro.io.shards.shard_filename`, or ``None`` for a resume:
     every unit, written to :data:`~repro.io.shards.RESUME_FILENAME`.
     With a ``directory``, its rows are checked against ``plan`` first
@@ -287,7 +266,7 @@ def run_checkpointed(
     a :class:`ShardProgress` before the first work unit and after each.
     """
     index, count = shard or (None, None)
-    runs = plan[index::count]
+    runs = plan if shard is None else plan[shard_slice(*shard)]
     completed: Dict[Tuple[str, str, str], ResultRow] = {}
     writer: Optional[ShardLogWriter] = None
     if directory is not None:
@@ -348,35 +327,23 @@ class ShardBackend:
     """Run one deterministic shard of the sweep — one invocation per host.
 
     ``shard_index`` / ``shard_count`` select the slice (see
-    :func:`shard_plans`); the returned :class:`ResultSet` holds only this
+    :func:`shard_slice`); the returned :class:`ResultSet` holds only this
     shard's rows, ready for :meth:`ResultSet.merge` with its siblings.
     With a ``checkpoint_dir``, rows persist append-only to this shard's
     JSONL file as each variant completes, and a re-invocation (after a
     crash, or a scheduler retry) skips everything already on disk —
     consulting *every* file in the directory, so rows another invocation
     already recovered (e.g. :meth:`Experiment.resume` writing to
-    ``resume.jsonl``) are never recomputed or duplicated.
-
-    ``on_progress`` (excluded from backend identity; not picklable
-    machinery — cluster workers construct it locally) observes a
-    :class:`ShardProgress` after each work unit: the heartbeat hook
-    :mod:`repro.cluster` workers report liveness through.
+    ``resume.jsonl``) are never recomputed or duplicated.  A caller that
+    wants per-unit progress calls :func:`run_checkpointed` directly.
     """
 
     shard_index: int
     shard_count: int
     checkpoint_dir: Optional[str] = None
-    on_progress: Optional[Any] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        if self.shard_count < 1:
-            raise ExperimentError(f"shard_count must be >= 1, got {self.shard_count}")
-        if not 0 <= self.shard_index < self.shard_count:
-            raise ExperimentError(
-                f"shard_index must be in [0, {self.shard_count}), got {self.shard_index}"
-            )
+        shard_slice(self.shard_index, self.shard_count)
 
     def execute(self, experiment: Experiment) -> ResultSet:
         rows = run_checkpointed(
@@ -384,7 +351,6 @@ class ShardBackend:
             plan_runs(experiment),
             None if self.checkpoint_dir is None else Path(self.checkpoint_dir),
             (self.shard_index, self.shard_count),
-            on_progress=self.on_progress,
         )
         return ResultSet(experiment=experiment.name, rows=rows, seed=experiment.seed)
 

@@ -8,7 +8,10 @@ themselves (:mod:`repro.io.shards`) and the crash-tolerance model of the
 secure-logging literature in PAPERS.md: records are immutable once
 written, a crash at any instant leaves a recoverable prefix, and a torn
 *final* line (killed mid-append) is treated as never-written rather than
-as corruption.
+as corruption.  A line is committed once its newline is written, and
+:func:`_committed_lines` alone decides that, for every JSONL reader and
+writer in :mod:`repro.io`: a reader never serves a record that a writer
+opening the file would cut.
 
 Two kinds of streams use this module:
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..core.exceptions import SerializationError
 
@@ -43,15 +46,26 @@ PathLike = Union[str, Path]
 EVENTLOG_SUFFIX = ".jsonl"
 
 
+def _committed_lines(content: bytes) -> Tuple[List[str], int]:
+    """The committed lines of an append-only JSONL file, and their byte length.
+
+    Writers append ``line + "\n"``, so a record is committed once its
+    newline is written.  An unterminated final line is a torn write and
+    never a record, even when it happens to parse.
+    """
+    end = content.rfind(b"\n") + 1  # 0 when no full line survives
+    return content[:end].decode("utf-8").splitlines(), end
+
+
 def _recover_committed_lines(path: Path) -> int:
     """Cut a torn final line (never a committed record) off an append-only
     JSONL file and count the committed lines: both writers' open-time recovery."""
     content = path.read_bytes()
-    committed = content.rfind(b"\n") + 1  # 0 when no full line survives
-    if committed < len(content):
+    lines, end = _committed_lines(content)
+    if end < len(content):
         with open(path, "r+b") as handle:
-            handle.truncate(committed)
-    return content.count(b"\n", 0, committed)
+            handle.truncate(end)
+    return len(lines)
 
 
 class EventLogWriter:
@@ -105,16 +119,16 @@ def read_events(path: PathLike) -> List[Dict[str, Any]]:
     A missing file reads as an empty stream (the writer is lazy, so a
     scheduler that never got to emit anything leaves no file).  A torn
     final line — no terminating newline, the signature of a process
-    killed mid-append — is skipped; any *committed* malformed line raises
-    :class:`SerializationError`, because committed records are immutable
-    and a bad one means tampering or disk corruption.
+    killed mid-append — is skipped even when it parses, because the next
+    writer to open the stream cuts it; any *committed* malformed line
+    raises :class:`SerializationError`, because committed records are
+    immutable and a bad one means tampering or disk corruption.
     """
     path = Path(path)
     if not path.exists():
         return []
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    torn_tail = bool(text) and not text.endswith("\n")
+    with open(path, "rb") as handle:
+        lines, _ = _committed_lines(handle.read())
     events: List[Dict[str, Any]] = []
     for number, line in enumerate(lines, start=1):
         if not line.strip():
@@ -122,8 +136,6 @@ def read_events(path: PathLike) -> List[Dict[str, Any]]:
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as error:
-            if number == len(lines) and torn_tail:
-                break  # torn final append — the event was never committed
             raise SerializationError(
                 f"event log {str(path)!r} line {number} is malformed: {error}"
             ) from error

@@ -15,8 +15,9 @@ than trusts.
 Parsing re-validates each row's recorded variant hash (see
 :func:`repro.io.experiments_io.result_row_from_dict`), so a tampered or
 corrupted shard fails loudly instead of merging silently.  A truncated
-*final* line — the signature of a run killed mid-append — is tolerated
-and treated as not-yet-written; malformed content anywhere else raises
+*final* line — the signature of a run killed mid-append, recognised by
+its missing newline (:mod:`repro.io.eventlog`) — is tolerated and
+treated as not-yet-written; malformed content anywhere else raises
 :class:`~repro.core.exceptions.SerializationError`.
 
 Like the rest of :mod:`repro.io`, this module stays import-light: the
@@ -31,7 +32,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..core.exceptions import SerializationError
-from .eventlog import _recover_committed_lines
+from .eventlog import _committed_lines, _recover_committed_lines
 from .experiments_io import result_row_from_dict, result_row_to_dict
 
 __all__ = [
@@ -133,7 +134,8 @@ def read_shard(path: PathLike) -> Tuple[Optional[Dict[str, Any]], List[Any]]:
     """Parse one shard file into its ``(header, rows)``.
 
     A truncated *final* line (run interrupted mid-append, recognizable
-    by the missing line terminator) is treated as not-yet-written: a
+    by the missing line terminator) is treated as not-yet-written, even
+    when it parses, because the next writer to open the file cuts it: a
     torn row line is skipped, and a torn header — crash during the very
     first append, leaving a single unterminated line — yields
     ``(None, [])``, meaning "no committed content".  Any malformed
@@ -143,21 +145,15 @@ def read_shard(path: PathLike) -> Tuple[Optional[Dict[str, Any]], List[Any]]:
     parsing re-validates the recorded variant hashes.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+    with open(path, "rb") as handle:
+        lines, _ = _committed_lines(handle.read())
     if not lines:
-        # A 0-byte file is the narrowest torn first write: the file was
-        # created but the header never flushed.  Same verdict as a torn
-        # header — nothing was ever committed.
+        # A 0-byte file or a torn header is the narrowest torn first
+        # write: the header never committed, so nothing was.
         return None, []
-    # A committed record always ends in a newline (ShardLogWriter writes
-    # line + "\n"); only an unterminated final line can be a torn write.
-    torn_tail = not text.endswith("\n")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as error:
-        if len(lines) == 1 and torn_tail:
-            return None, []  # torn header — nothing was ever committed
         raise SerializationError(
             f"shard file {str(path)!r} has a malformed header line: {error}"
         ) from error
@@ -178,8 +174,6 @@ def read_shard(path: PathLike) -> Tuple[Optional[Dict[str, Any]], List[Any]]:
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as error:
-            if number == len(lines) and torn_tail:
-                break  # torn final append — the row was never completed
             raise SerializationError(
                 f"shard file {str(path)!r} line {number} is malformed: {error}"
             ) from error

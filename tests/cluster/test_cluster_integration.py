@@ -56,7 +56,7 @@ def serial(experiment):
 def make_scheduler(experiment, checkpoint_dir, **overrides) -> ShardScheduler:
     kwargs = dict(
         shard_count=4,
-        transport=LocalProcessFleet(max_workers=2),
+        max_workers=2,
         heartbeat_timeout=30.0,
         poll_interval=0.02,
         backoff_base=0.05,
@@ -130,7 +130,7 @@ class TestKillMidShard:
             checkpoint_dir=str(tmp_path),
             fault=FaultInjector(shards=(0,), kill_after_rows=1),
         )
-        handle = LocalProcessFleet(max_workers=1).launch(assignment)
+        handle = LocalProcessFleet().launch(assignment)
         handle.process.join(timeout=120)
         assert handle.poll() == FAULT_KILL_EXIT_CODE
         text = assignment.shard_log_path.read_text()

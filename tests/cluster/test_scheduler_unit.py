@@ -8,6 +8,7 @@ timeouts, capped exponential backoff with deterministic jitter, and
 attempt exhaustion.
 """
 
+import os
 import types
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.cluster import ShardScheduler, backoff_delay, read_scheduler_events
 from repro.core.exceptions import ClusterError
 from repro.experiments import Experiment, SweepSpec
+from repro.simulation.pool import usable_cpus
 
 SEED = 20260808
 
@@ -306,10 +308,18 @@ class TestValidation:
         with pytest.raises(ClusterError, match="max_workers"):
             ShardScheduler(experiment, **good, max_workers=0)
 
-    def test_max_workers_falls_back_to_transport_capacity(self, experiment, tmp_path):
+    def test_max_workers_defaults_to_usable_cpus(
+        self, experiment, tmp_path, monkeypatch
+    ):
+        # The scheduler owns the one worker cap: without one it takes the
+        # affinity mask's CPU count, and a transport's own max_workers
+        # attribute is not consulted.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(5)), raising=False
+        )
         transport = FakeTransport(lambda shard, attempt: FakeHandle())
         transport.max_workers = 3
         scheduler = ShardScheduler(
             experiment, 2, str(tmp_path), transport=transport
         )
-        assert scheduler.max_workers == 3
+        assert scheduler.max_workers == usable_cpus() == 5

@@ -22,10 +22,10 @@ from repro.experiments import (
     reproduce_row,
     resolve_backend,
     resume_experiment,
-    shard_plans,
 )
-from repro.experiments import ShardProgress
+from repro.experiments import ShardProgress, plan_runs
 from repro.experiments import backends as backends_module
+from repro.experiments.backends import run_checkpointed, shard_slice
 from repro.io import load_checkpoint, read_shard, shard_filename
 
 SEED = 20260726
@@ -39,6 +39,11 @@ def canonical(resultset):
     rather than re-deriving which metrics are machine-time.
     """
     return resultset.canonical_dict()
+
+
+def _shard_runs(experiment, index, count):
+    """The work units shard ``index`` of ``count`` runs."""
+    return plan_runs(experiment)[shard_slice(index, count)]
 
 
 def _experiment(n_receivers=80, **overrides) -> Experiment:
@@ -95,17 +100,19 @@ class TestBackendSelection:
             ProcessBackend(max_workers=2)
 
 
-class TestShardPlans:
+class TestShardSlice:
     def test_strided_disjoint_partition_covers_everything(self, experiment):
-        plans = shard_plans(experiment, 4)
-        indices = [[run.variant_index for run in plan.runs] for plan in plans]
+        indices = [
+            [run.variant_index for run in _shard_runs(experiment, index, 4)]
+            for index in range(4)
+        ]
         assert indices == [[0, 4], [1, 5], [2], [3]]
         flattened = sorted(index for shard in indices for index in shard)
         assert flattened == list(range(len(experiment.variants)))
 
     def test_shard_runs_keep_serial_seeds(self, experiment):
-        for plan in shard_plans(experiment, 3):
-            for run in plan.runs:
+        for index in range(3):
+            for run in _shard_runs(experiment, index, 3):
                 assert run.seed == experiment.variant_seed(run.variant_index)
 
     def test_plan_header_carries_provenance(self, experiment, tmp_path):
@@ -118,11 +125,16 @@ class TestShardPlans:
 
     def test_invalid_shard_geometry_rejected(self, experiment):
         with pytest.raises(ExperimentError):
-            shard_plans(experiment, 0)
+            shard_slice(0, 0)
         with pytest.raises(ExperimentError):
             ShardBackend(shard_index=2, shard_count=2)
         with pytest.raises(ExperimentError):
             ShardBackend(shard_index=-1, shard_count=2)
+
+    def test_checkpointed_loop_rejects_an_out_of_range_shard(self, experiment):
+        # Slicing a plan with index >= count would silently run nothing.
+        with pytest.raises(ExperimentError, match="shard_index"):
+            run_checkpointed(experiment, plan_runs(experiment), None, (5, 2))
 
 
 class TestShardDeterminism:
@@ -267,13 +279,11 @@ class TestCheckpointResume:
         self, experiment, serial, tmp_path, monkeypatch
     ):
         experiment.run(backend=ShardBackend(0, 2, checkpoint_dir=str(tmp_path)))
-        done = {run.label for run in shard_plans(experiment, 2)[0].runs}
+        done = {run.label for run in _shard_runs(experiment, 0, 2)}
 
         executed = _counting_run_variant(monkeypatch)
         resumed = experiment.resume(str(tmp_path))
-        assert set(executed) == {
-            run.label for run in shard_plans(experiment, 2)[1].runs
-        }
+        assert set(executed) == {run.label for run in _shard_runs(experiment, 1, 2)}
         assert not (set(executed) & done)
         assert canonical(resumed) == canonical(serial)
         # The recomputed rows were persisted append-only alongside the shard.
@@ -310,7 +320,7 @@ class TestCheckpointResume:
         experiment.run(backend=ShardBackend(0, 2, checkpoint_dir=str(tmp_path)))
         executed = _counting_run_variant(monkeypatch)
         experiment.run(backend=ShardBackend(0, 3, checkpoint_dir=str(tmp_path)))
-        overlap = shard_plans(experiment, 2)[0].runs[0].label
+        overlap = _shard_runs(experiment, 0, 2)[0].label
         assert overlap not in executed
         resumed = experiment.resume(str(tmp_path))
         assert canonical(resumed) == canonical(serial)
@@ -443,7 +453,7 @@ class TestResumeChecksServedRows:
 class TestPlansOnce:
     """Each checkpointed entry point plans its experiment exactly once."""
 
-    def test_checkpointed_shard_plans_once(
+    def test_checkpointed_shard_runs_plan_once(
         self, experiment, tmp_path, plan_runs_calls
     ):
         backend = ShardBackend(0, 2, checkpoint_dir=str(tmp_path))
@@ -465,11 +475,10 @@ class TestShardProgress:
         self, experiment, tmp_path
     ):
         seen = []
-        backend = ShardBackend(
-            0, 2, checkpoint_dir=str(tmp_path), on_progress=seen.append
+        run_checkpointed(
+            experiment, plan_runs(experiment), tmp_path, (0, 2), seen.append
         )
-        experiment.run(backend=backend)
-        n_units = len(shard_plans(experiment, 2)[0].runs)
+        n_units = len(_shard_runs(experiment, 0, 2))
         assert len(seen) == n_units + 1, "one leading report plus one per unit"
         assert all(isinstance(progress, ShardProgress) for progress in seen)
         assert [progress.variants_done for progress in seen] == list(
@@ -485,10 +494,9 @@ class TestShardProgress:
     ):
         experiment.run(backend=ShardBackend(0, 2, checkpoint_dir=str(tmp_path)))
         seen = []
-        backend = ShardBackend(
-            0, 2, checkpoint_dir=str(tmp_path), on_progress=seen.append
+        run_checkpointed(
+            experiment, plan_runs(experiment), tmp_path, (0, 2), seen.append
         )
-        experiment.run(backend=backend)
         # The heartbeat signal (rows_committed) still advances — the
         # scheduler must see a retried shard as live — but the fault
         # budget (rows_appended) meters nothing.
@@ -496,11 +504,18 @@ class TestShardProgress:
         assert all(progress.rows_appended == 0 for progress in seen)
 
     def test_on_progress_does_not_change_results(self, experiment, serial, tmp_path):
-        backend = ShardBackend(
-            0, 2, checkpoint_dir=str(tmp_path), on_progress=lambda progress: None
+        observed = run_checkpointed(
+            experiment,
+            plan_runs(experiment),
+            tmp_path,
+            (0, 2),
+            on_progress=lambda progress: None,
         )
         bare = experiment.run(backend=ShardBackend(0, 2))
-        assert canonical(experiment.run(backend=backend)) == canonical(bare)
+        observed = ResultSet(
+            experiment=experiment.name, rows=observed, seed=experiment.seed
+        )
+        assert canonical(observed) == canonical(bare)
 
 
 class TestAppendComplexity:

@@ -7,6 +7,11 @@ import pytest
 from repro.core.exceptions import SerializationError
 from repro.io.eventlog import EventLogWriter, last_event, read_events
 
+#: Unterminated final lines a process killed mid-append can leave: a cut
+#: JSON fragment, and a complete record whose newline never landed.  A
+#: line is committed only once its newline is written, so both are torn.
+TORN_EVENT_TAILS = ('{"event": "sta', '{"event": "started", "seq": 1}')
+
 
 class TestEventLogWriter:
     def test_append_and_read_round_trip(self, tmp_path):
@@ -34,24 +39,29 @@ class TestEventLogWriter:
         assert [event["seq"] for event in read_events(path)] == [0, 1]
 
     def test_torn_final_line_truncated_on_reopen(self, tmp_path):
-        path = tmp_path / "scheduler-events.jsonl"
-        with EventLogWriter(path) as writer:
-            writer.append({"event": "queued"})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"event": "sta')  # killed mid-append
-        with EventLogWriter(path) as writer:
-            writer.append({"event": "requeued"})
-        assert [event["event"] for event in read_events(path)] == [
-            "queued",
-            "requeued",
-        ]
+        for number, tail in enumerate(TORN_EVENT_TAILS):
+            path = tmp_path / f"scheduler-events-{number}.jsonl"
+            with EventLogWriter(path) as writer:
+                writer.append({"event": "queued"})
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(tail)  # killed mid-append
+            # A reader never serves what the next writer will cut.
+            assert [event["event"] for event in read_events(path)] == ["queued"]
+            with EventLogWriter(path) as writer:
+                record = writer.append({"event": "requeued"})
+            assert record["seq"] == 1
+            assert [event["event"] for event in read_events(path)] == [
+                "queued",
+                "requeued",
+            ]
 
 
 class TestReadEvents:
     def test_torn_final_line_skipped(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        path.write_text(json.dumps({"seq": 0, "event": "queued"}) + "\n" + '{"ev')
-        assert [event["event"] for event in read_events(path)] == ["queued"]
+        for tail in ('{"ev', *TORN_EVENT_TAILS):
+            path.write_text(json.dumps({"seq": 0, "event": "queued"}) + "\n" + tail)
+            assert [event["event"] for event in read_events(path)] == ["queued"]
 
     def test_committed_garbage_raises(self, tmp_path):
         path = tmp_path / "events.jsonl"

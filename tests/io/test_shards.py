@@ -26,6 +26,14 @@ HEADER = {
 }
 
 
+def torn_row_tails(rows):
+    """Unterminated final lines a writer killed mid-append can leave: a cut
+    row record, and a complete one whose newline never landed.  A line is
+    committed only once its newline is written, so both are torn."""
+    whole = json.dumps({"kind": "row", "row": result_row_to_dict(rows[0])})
+    return ['{"kind": "row", "row": {"experi', whole]
+
+
 def append_rows(path, rows):
     """Commit ``rows`` to a shard file in one writer session."""
     with ShardLogWriter(path, HEADER) as writer:
@@ -126,15 +134,16 @@ class TestShardLogWriter:
         assert len(loaded) == 1 + len(rows) * 3
 
     def test_writer_recovers_torn_tail_once(self, rows, tmp_path):
-        path = tmp_path / shard_filename(0, 2)
-        append_rows(path, rows[:1])
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "row", "row": {"experi')  # killed mid-append
-        with ShardLogWriter(path, HEADER) as writer:
-            writer.append(rows[1:])
-        header, loaded = read_shard(path)
-        assert header is not None
-        assert len(loaded) == len(rows)
+        for number, tail in enumerate(torn_row_tails(rows)):
+            path = tmp_path / shard_filename(number, 2)
+            append_rows(path, rows[:1])
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(tail)  # killed mid-append
+            with ShardLogWriter(path, HEADER) as writer:
+                writer.append(rows[1:])
+            header, loaded = read_shard(path)
+            assert header is not None
+            assert len(loaded) == len(rows)
 
     def test_lazy_open_creates_no_file_without_appends(self, tmp_path):
         path = tmp_path / shard_filename(0, 2)
@@ -180,33 +189,39 @@ class TestCorruption:
             read_shard(path)
 
     def test_append_after_torn_tail_truncates_the_fragment(self, rows, tmp_path):
-        path = tmp_path / shard_filename(0, 2)
-        append_rows(path, rows[:1])
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "row", "row": {"experi')  # no trailing newline
-        append_rows(path, rows[1:])
-        header, loaded = read_shard(path)
-        assert header is not None
-        assert len(loaded) == len(rows), "fresh append must not fuse with the fragment"
+        for number, tail in enumerate(torn_row_tails(rows)):
+            path = tmp_path / shard_filename(number, 2)
+            append_rows(path, rows[:1])
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(tail)  # no trailing newline
+            append_rows(path, rows[1:])
+            header, loaded = read_shard(path)
+            assert header is not None
+            assert len(loaded) == len(rows), "fresh append must not fuse with the fragment"
 
     def test_torn_header_reads_as_nothing_committed(self, rows, tmp_path):
-        path = tmp_path / shard_filename(0, 2)
-        path.write_text('{"kind": "header", "format_ver')  # crash on first write
-        header, loaded = read_shard(path)
-        assert header is None and loaded == []
-        # Appending recovers the file from scratch, header included.
-        append_rows(path, rows)
-        header, loaded = read_shard(path)
-        assert header["experiment"] == "shard-io-test"
-        assert len(loaded) == len(rows)
+        whole = json.dumps(
+            {"kind": "header", "format_version": SHARD_FORMAT_VERSION, **HEADER}
+        )
+        for number, tail in enumerate(['{"kind": "header", "format_ver', whole]):
+            path = tmp_path / shard_filename(number, 2)
+            path.write_text(tail)  # crash on first write
+            header, loaded = read_shard(path)
+            assert header is None and loaded == []
+            # Appending recovers the file from scratch, header included.
+            append_rows(path, rows)
+            header, loaded = read_shard(path)
+            assert header["experiment"] == "shard-io-test"
+            assert len(loaded) == len(rows)
 
     def test_torn_final_line_is_tolerated(self, rows, tmp_path):
-        path = tmp_path / shard_filename(0, 2)
-        append_rows(path, rows)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "row", "row": {"experi')  # killed mid-append
-        _, loaded = read_shard(path)
-        assert len(loaded) == len(rows)
+        for number, tail in enumerate(torn_row_tails(rows)):
+            path = tmp_path / shard_filename(number, 2)
+            append_rows(path, rows)
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(tail)  # killed mid-append
+            _, loaded = read_shard(path)
+            assert len(loaded) == len(rows)
 
     def test_committed_malformed_final_line_rejected(self, rows, tmp_path):
         # A newline-terminated garbage line is a *committed* record gone

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -122,15 +123,24 @@ class TestPersistence:
         warmed.close()
 
     def test_torn_final_line_reads_as_never_written(self, tmp_path):
-        path = tmp_path / CACHE_FILENAME
-        cache = ResultCache(path)
-        cache.store(row_cache_key(ROW), ROW)
-        cache.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": ["torn"')  # killed mid-append
-        recovered = ResultCache(path)
-        assert recovered.stats()["entries"] == 1
-        recovered.close()
+        # A cut record, and a complete one whose newline never landed: a
+        # line is committed only once its newline is written.
+        other = dict(ROW, seed=8)
+        whole = json.dumps(
+            {"seq": 1, "key": list(row_cache_key(other)), "payload": other}
+        )
+        for number, tail in enumerate(['{"key": ["torn"', whole]):
+            path = tmp_path / f"{number}-{CACHE_FILENAME}"
+            cache = ResultCache(path)
+            cache.store(row_cache_key(ROW), ROW)
+            cache.close()
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(tail)  # killed mid-append
+            recovered = ResultCache(path)
+            assert recovered.stats()["entries"] == 1
+            # Never served: the cache's next store cuts the unterminated line.
+            assert not recovered.peek(row_cache_key(other))
+            recovered.close()
 
     def test_unpersisted_cache_writes_nothing(self, tmp_path):
         cache = ResultCache()

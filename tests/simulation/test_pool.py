@@ -18,7 +18,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.cluster import LocalProcessFleet, ShardScheduler
+from repro.cluster import ShardScheduler
 from repro.experiments import (
     WALL_CLOCK_METRICS,
     Experiment,
@@ -267,7 +267,7 @@ class TestNoNesting:
             _eligible_experiment(),
             checkpoint_dir=str(tmp_path),
             shard_count=2,
-            transport=LocalProcessFleet(max_workers=2),
+            max_workers=2,
             heartbeat_timeout=60.0,
             poll_interval=0.02,
         )
